@@ -2,7 +2,10 @@
 
 Exit codes: 0 on success (whatever the verdict), 2 on usage or input
 errors, 3 when the state-space cap is exceeded.  Results go to stdout,
-diagnostics to stderr.
+diagnostics to stderr.  A failed internal invariant (a witness that
+does not re-evaluate to its verdict, a fixpoint that does not converge)
+raises RuntimeError, which is never reported as a usage error: the
+process prints the traceback and exits with code 1.
 """
 
 from __future__ import annotations
@@ -51,6 +54,14 @@ def _check_cap(cap: int) -> int:
     return cap
 
 
+def _write_output(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output: {exc}") from None
+
+
 def _run_translate(args: argparse.Namespace) -> int:
     if args.out_dot is None and args.out_hoa is None:
         raise UsageError("translate needs --out-dot and/or --out-hoa")
@@ -59,11 +70,9 @@ def _run_translate(args: argparse.Namespace) -> int:
     psi = parse_core(args.formula)
     automaton = build_automaton(psi, alphabet, value, cap=_check_cap(args.state_cap))
     if args.out_dot is not None:
-        with open(args.out_dot, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(to_dot(automaton))
+        _write_output(args.out_dot, to_dot(automaton))
     if args.out_hoa is not None:
-        with open(args.out_hoa, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(to_hoa(automaton))
+        _write_output(args.out_hoa, to_hoa(automaton))
     print(
         f"states={len(automaton.states)} "
         f"initial={len(automaton.initial)} "

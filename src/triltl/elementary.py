@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .syntax import Closure, Formula, format_formula, negated
+from .syntax import Closure, Formula, negated
 
 ABSENT = 0
 POS = 1
@@ -177,8 +177,15 @@ def state_members(vec: Sequence[int], closure: Closure) -> tuple[Formula, ...]:
 
 
 def format_state(vec: Sequence[int], closure: Closure) -> str:
-    """Human-readable set notation, with a dedicated empty-set symbol."""
-    members = state_members(vec, closure)
-    if not members:
+    """Human-readable set notation, with a dedicated empty-set symbol.
+
+    Members appear in base order, as `format_formula` renders them.
+    """
+    texts = [
+        pos if value == POS else neg
+        for value, pos, neg in zip(vec, closure.base_texts, closure.negated_texts)
+        if value != ABSENT
+    ]
+    if not texts:
         return "∅"
-    return "{" + ", ".join(format_formula(g) for g in members) + "}"
+    return "{" + ", ".join(texts) + "}"

@@ -173,7 +173,14 @@ def _initial_ids(
 
 class _CoreAutomaton:
     """The truth-value-independent part of the construction, so the
-    three automata of one formula can share everything but Q0."""
+    three automata of one formula can share everything but Q0.
+
+    Successor sets are enumerated once per distinct linkage mask.  This
+    is sound because `enumerate_states(closure, allowed)` reads nothing
+    of the source state but the mask `_successor_allowed` derives from
+    it, so two sources with equal masks have equal successor lists, in
+    the same order.  Sources whose masks are equal share one id tuple.
+    """
 
     def __init__(self, psi: Formula, alphabet: Sequence[str], cap: int):
         alphabet = tuple(alphabet)
@@ -192,17 +199,20 @@ class _CoreAutomaton:
             state_pattern(vec, self.closure) for vec in self.states
         )
         succ = []
+        by_mask: dict[tuple[Optional[frozenset[int]], ...], tuple[int, ...]] = {}
         for vec in self.states:
             allowed = _successor_allowed(vec, self.closure)
             if allowed is None:
                 succ.append(())
-            else:
-                succ.append(
-                    tuple(
-                        state_ids[nxt]
-                        for nxt in enumerate_states(self.closure, allowed)
-                    )
+                continue
+            mask = tuple(allowed)
+            ids = by_mask.get(mask)
+            if ids is None:
+                ids = tuple(
+                    state_ids[nxt] for nxt in enumerate_states(self.closure, allowed)
                 )
+                by_mask[mask] = ids
+            succ.append(ids)
         self.succ = tuple(succ)
         self.acceptance = tuple(acceptance_sets(self.states, self.closure))
 

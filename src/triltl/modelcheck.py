@@ -103,20 +103,22 @@ def parse_model(document: str) -> TransitionModel:
     known = set(states)
 
     initial = data["initial"]
-    if initial not in known:
+    if not isinstance(initial, str) or initial not in known:
         raise ModelFormatError(f"unknown initial state {initial!r}")
 
-    edges: list[tuple[str, str]] = []
     if not isinstance(data["edges"], list):
         raise ModelFormatError('"edges" must be a list of [from, to] pairs')
+    edges: list[tuple[str, str]] = []
+    seen: set[tuple[str, str]] = set()
     for item in data["edges"]:
         if not isinstance(item, list) or len(item) != 2:
             raise ModelFormatError(f"bad edge {item!r}")
         src, dst = item
         for endpoint in (src, dst):
-            if endpoint not in known:
+            if not isinstance(endpoint, str) or endpoint not in known:
                 raise ModelFormatError(f"unknown state {endpoint!r} in edge")
-        if (src, dst) not in edges:
+        if (src, dst) not in seen:
+            seen.add((src, dst))
             edges.append((src, dst))
 
     with_out = {src for src, _ in edges}
@@ -137,7 +139,7 @@ def parse_model(document: str) -> TransitionModel:
         for atom, code in per_state.items():
             if not is_atom_name(atom):
                 raise ModelFormatError(f"bad atom name {atom!r}")
-            if code not in _VALUE_CODES:
+            if not isinstance(code, str) or code not in _VALUE_CODES:
                 raise ModelFormatError(
                     f'bad value {code!r} for {name!r}.{atom!r}; use "t", "f" or "u"'
                 )
@@ -160,7 +162,9 @@ def product_nonempty(model: TransitionModel, automaton: Nba) -> Optional[Witness
     """
     atoms = automaton.closure.atoms
     emitted = {s: letter_of(model, s, atoms) for s in model.states}
-    adjacency = {s: model.successors(s) for s in model.states}
+    adjacency: dict[str, list[str]] = {s: [] for s in model.states}
+    for src, dst in model.edges:
+        adjacency[src].append(dst)
     patterns = automaton.patterns
     succ = automaton.succ
 
@@ -272,7 +276,8 @@ def product_nonempty(model: TransitionModel, automaton: Nba) -> Optional[Witness
             if target not in back_parent:
                 back_parent[target] = node
                 queue.append(target)
-    assert closing is not None, "cycle node lost its cycle"
+    if closing is None:
+        raise RuntimeError("internal error: cycle node lost its cycle")
     cycle = [closing]
     while cycle[-1] != anchor:
         cycle.append(back_parent[cycle[-1]])
@@ -321,8 +326,10 @@ def check_model(
         if witness is not None:
             word = induced_word(model, witness, alphabet)
             confirmed = eval_lasso(psi, word)
-            assert confirmed is value, (
-                f"witness evaluates to {confirmed}, expected {value}"
-            )
+            if confirmed is not value:
+                raise RuntimeError(
+                    f"internal error: witness evaluates to {confirmed}, "
+                    f"expected {value}"
+                )
             return Verdict(value, witness)
     return Verdict(Truth.TRUE)

@@ -164,7 +164,10 @@ def _label_tables(
             while changed:
                 changed = False
                 sweeps += 1
-                assert sweeps <= budget, "until fixpoint failed to converge"
+                if sweeps > budget:
+                    raise RuntimeError(
+                        "internal error: until fixpoint failed to converge"
+                    )
                 for i in range(n - 1, -1, -1):
                     if not t[i] and (rt[i] or (lt[i] and t[succ[i]])):
                         t[i] = True
@@ -176,14 +179,18 @@ def _label_tables(
             while changed:
                 changed = False
                 sweeps += 1
-                assert sweeps <= budget, "until fixpoint failed to converge"
+                if sweeps > budget:
+                    raise RuntimeError(
+                        "internal error: until fixpoint failed to converge"
+                    )
                 for i in range(n - 1, -1, -1):
                     if f[i] and not (rf[i] and (lf[i] or f[succ[i]])):
                         f[i] = False
                         changed = True
         else:
             raise ValueError(f"not a core formula: {g!r}")
-        assert not any(a and b for a, b in zip(t, f)), "label tables overlap"
+        if any(a and b for a, b in zip(t, f)):
+            raise RuntimeError("internal error: label tables overlap")
         tables[g] = (t, f)
     return tables
 

@@ -421,8 +421,14 @@ class Closure:
                 stack.append(g.left)
                 stack.append(g.right)
 
+        text = {b: format_formula(b) for b in seen}
         self.bases: tuple[Formula, ...] = tuple(
-            sorted(seen, key=lambda b: (formula_size(b), format_formula(b)))
+            sorted(seen, key=lambda b: (formula_size(b), text[b]))
+        )
+        #: Rendered text of each base and of its negation, in base order.
+        self.base_texts: tuple[str, ...] = tuple(text[b] for b in self.bases)
+        self.negated_texts: tuple[str, ...] = tuple(
+            format_formula(negated(b)) for b in self.bases
         )
         self.index: dict[Formula, int] = {b: i for i, b in enumerate(self.bases)}
 

@@ -1,6 +1,6 @@
 import pytest
 
-from triltl import read_hoa
+from triltl import Truth, modelcheck, read_hoa
 from triltl.cli import main
 from helpers import model_doc, validate_dot
 
@@ -92,6 +92,18 @@ class TestTranslate:
         assert code == 2
         assert "truth value" in stderr
 
+    @pytest.mark.parametrize("flag", ["--out-dot", "--out-hoa"])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, flag):
+        code, stdout, stderr = run(
+            capsys,
+            "translate", "--formula", "X a", "--alphabet", "a",
+            "--value", "uu", flag, str(tmp_path / "missing" / "out"),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: cannot write output:")
+        assert stderr.count("\n") == 1
+
     def test_missing_required_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["translate", "--alphabet", "a", "--value", "uu"])
@@ -150,6 +162,16 @@ class TestCheck:
         )
         assert code == 2
         assert "cannot read model" in stderr
+
+    def test_failed_witness_revalidation_is_not_a_usage_error(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "m.json"
+        path.write_text(model_doc(["s0"], "s0", [["s0", "s0"]], {"s0": {"a": "f"}}))
+        monkeypatch.setattr(modelcheck, "eval_lasso", lambda psi, word: Truth.TRUE)
+        with pytest.raises(RuntimeError, match="witness evaluates") as err:
+            main(["check", "--model", str(path), "--formula", "G a"])
+        assert not isinstance(err.value, ValueError)
 
 
 class TestEval:

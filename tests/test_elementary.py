@@ -14,6 +14,7 @@ from triltl import (
     Until,
     closure_of,
     enumerate_elementary,
+    format_formula,
     format_state,
     is_consistent,
     is_locally_consistent,
@@ -21,7 +22,7 @@ from triltl import (
     parse_core,
     state_members,
 )
-from helpers import naive_elementary, vec_of
+from helpers import CORPUS, naive_elementary, vec_of
 
 A, B = Atom("a"), Atom("b")
 
@@ -178,3 +179,16 @@ def test_state_members_and_format():
     assert state_members(vec, c) == (A, Not(Next(A)))
     assert format_state(vec, c) == "{a, !X a}"
     assert format_state((ABSENT, ABSENT), c) == "∅"
+
+
+@pytest.mark.parametrize("text", CORPUS)
+def test_format_state_renders_each_member(text):
+    c = closure_of(parse_core(text))
+    for vec in enumerate_elementary(c):
+        members = state_members(vec, c)
+        expected = (
+            "{" + ", ".join(format_formula(g) for g in members) + "}"
+            if members
+            else "∅"
+        )
+        assert format_state(vec, c) == expected

@@ -9,6 +9,7 @@ from triltl import (
     Truth,
     UnknownAtomError,
     acceptance_sets,
+    atoms_of,
     build_automaton,
     closure_of,
     degeneralize,
@@ -21,7 +22,7 @@ from triltl import (
     successors,
 )
 from triltl.gnba import build_family
-from helpers import gnba_accepts_lasso, vec_of
+from helpers import CORPUS, gnba_accepts_lasso, vec_of
 
 A = Atom("a")
 
@@ -165,6 +166,19 @@ class TestSuccessors:
                 assert enabled == {g.patterns[sid]}
             else:
                 assert enabled == set()
+
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_shared_succ_matches_per_state_successors(self, text):
+        psi = parse_core(text)
+        family = build_family(psi, sorted(atoms_of(psi)))
+        g = family[Truth.TRUE]
+        ids = {vec: sid for sid, vec in enumerate(g.states)}
+        expected = [
+            tuple(ids[nxt] for nxt in successors(vec, g.patterns[sid], g.closure))
+            for sid, vec in enumerate(g.states)
+        ]
+        for value in Truth:
+            assert list(family[value].succ) == expected
 
 
 class TestExtraAlphabetAtoms:

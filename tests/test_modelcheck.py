@@ -80,6 +80,33 @@ class TestParseModel:
         m = parse_model(model_doc(["s0"], "s0", [["s0", "s0"]], {}))
         assert m.label("s0", "a") is Truth.UNKNOWN
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ('{"states": ["s0"], "initial": ["s0"], "edges": [["s0", "s0"]]}',
+             "unknown initial"),
+            ('{"states": ["s0"], "initial": "s0", "edges": [[["s0"], "s0"]]}',
+             "in edge"),
+            (model_doc(["s0"], "s0", [["s0", "s0"]], {"s0": {"a": ["t"]}}),
+             "bad value"),
+        ],
+        ids=["list-initial", "list-edge-endpoint", "list-label-value"],
+    )
+    def test_wrong_json_shape(self, document, message):
+        with pytest.raises(ModelFormatError, match=message):
+            parse_model(document)
+
+    def test_duplicate_edges_keep_first_declaration_order(self):
+        m = parse_model(
+            model_doc(
+                ["s0", "s1"],
+                "s0",
+                [["s0", "s1"], ["s1", "s0"], ["s0", "s1"], ["s0", "s0"]],
+                {},
+            )
+        )
+        assert m.edges == (("s0", "s1"), ("s1", "s0"), ("s0", "s0"))
+
 
 class TestLetterOf:
     def test_true_and_unknown(self):
