@@ -67,6 +67,7 @@ from .syntax import (
     FormulaSyntaxError,
     Globally,
     Implies,
+    MAX_NESTING,
     Next,
     Not,
     Or,

@@ -202,6 +202,8 @@ def read_hoa(text: str) -> HoaAutomaton:
     state_acc: list[frozenset[int]] = [frozenset()] * num_states
     state_names: list[str] = [""] * num_states
     edges: list[tuple[int, Letter, int]] = []
+    # All edges of a state carry the same label: parse each text once.
+    labels: dict[str, Letter] = {}
     current = None
     for line in lines[i + 1 :]:
         if line == "--END--":
@@ -230,7 +232,10 @@ def read_hoa(text: str) -> HoaAutomaton:
             if current is None:
                 raise HoaFormatError("edge before any State:")
             end = line.index("]")
-            pattern = _parse_label(line[1:end], ap)
+            text = line[1:end]
+            pattern = labels.get(text)
+            if pattern is None:
+                pattern = labels[text] = _parse_label(text, ap)
             edges.append((current, pattern, int(line[end + 1 :].strip())))
         else:
             raise HoaFormatError(f"unsupported body line {line!r}")

@@ -268,6 +268,12 @@ class Nba:
     succ: tuple[tuple[int, ...], ...]
     accepting: frozenset[int]
 
+    @property
+    def acceptance(self) -> tuple[frozenset[int], ...]:
+        """The accepting states as the one acceptance set, so code written
+        for generalized acceptance reads an Nba too."""
+        return (self.accepting,)
+
 
 def degeneralize(g: Gnba) -> Nba:
     """Counter construction: track which acceptance set is owed next.

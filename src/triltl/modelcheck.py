@@ -10,13 +10,14 @@ single falsifying path settles the matter regardless of the others.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from functools import cache, cached_property
+from typing import Mapping, Optional, Sequence, Union
 
 from .elementary import DEFAULT_CANDIDATE_CAP
-from .gnba import Nba, build_family, degeneralize
+from .gnba import Gnba, Nba, build_family
 from .letters import Letter
+from .search import accepting_cycle_reachable, first_accepting_lasso
 from .semantics import eval_lasso, lasso
 from .syntax import Formula, atoms_of, is_atom_name
 from .truth import Truth
@@ -42,8 +43,22 @@ class TransitionModel:
     edges: tuple[tuple[str, str], ...]
     labels: Mapping[str, Mapping[str, Truth]]
 
+    @cached_property
+    def position(self) -> dict[str, int]:
+        """Index of each state in `states`."""
+        return {name: i for i, name in enumerate(self.states)}
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Successor indices of each state index, built once per model."""
+        position = self.position
+        out: list[list[int]] = [[] for _ in self.states]
+        for src, dst in self.edges:
+            out[position[src]].append(position[dst])
+        return tuple(map(tuple, out))
+
     def successors(self, state: str) -> tuple[str, ...]:
-        return tuple(dst for src, dst in self.edges if src == state)
+        return tuple(self.states[i] for i in self.adjacency[self.position[state]])
 
     def label(self, state: str, atom: str) -> Truth:
         return self.labels.get(state, {}).get(atom, Truth.UNKNOWN)
@@ -58,9 +73,10 @@ class TransitionModel:
 def letter_of(model: TransitionModel, state: str, alphabet: Sequence[str]) -> Letter:
     """The letter a model state emits: its true atoms positively, its
     false atoms negatively, unknown atoms omitted."""
+    values = model.labels.get(state, {})
     literals = []
     for atom in alphabet:
-        value = model.label(state, atom)
+        value = values.get(atom)
         if value is Truth.TRUE:
             literals.append((atom, True))
         elif value is Truth.FALSE:
@@ -94,13 +110,14 @@ def parse_model(document: str) -> TransitionModel:
     if not isinstance(raw_states, list) or not raw_states:
         raise ModelFormatError('"states" must be a non-empty list of names')
     states: list[str] = []
+    known: set[str] = set()
     for name in raw_states:
         if not isinstance(name, str) or not name or any(c.isspace() for c in name) or ";" in name:
             raise ModelFormatError(f"bad state name {name!r}")
-        if name in states:
+        if name in known:
             raise ModelFormatError(f"duplicate state {name!r}")
+        known.add(name)
         states.append(name)
-    known = set(states)
 
     initial = data["initial"]
     if not isinstance(initial, str) or initial not in known:
@@ -127,6 +144,7 @@ def parse_model(document: str) -> TransitionModel:
             raise ModelFormatError(f"state {name!r} has no outgoing edge")
 
     labels: dict[str, dict[str, Truth]] = {}
+    atom_names: set[str] = set()
     raw_labels = data.get("labels", {})
     if not isinstance(raw_labels, dict):
         raise ModelFormatError('"labels" must be an object')
@@ -137,8 +155,10 @@ def parse_model(document: str) -> TransitionModel:
             raise ModelFormatError(f"labels of {name!r} must be an object")
         entry: dict[str, Truth] = {}
         for atom, code in per_state.items():
-            if not is_atom_name(atom):
-                raise ModelFormatError(f"bad atom name {atom!r}")
+            if atom not in atom_names:
+                if not is_atom_name(atom):
+                    raise ModelFormatError(f"bad atom name {atom!r}")
+                atom_names.add(atom)
             if not isinstance(code, str) or code not in _VALUE_CODES:
                 raise ModelFormatError(
                     f'bad value {code!r} for {name!r}.{atom!r}; use "t", "f" or "u"'
@@ -152,138 +172,94 @@ def parse_model(document: str) -> TransitionModel:
 Witness = tuple[tuple[str, ...], tuple[str, ...]]
 
 
-def product_nonempty(model: TransitionModel, automaton: Nba) -> Optional[Witness]:
+def product_nonempty(
+    model: TransitionModel, automaton: Union[Gnba, Nba]
+) -> Optional[Witness]:
     """Search the synchronous product for an accepted word of the model.
 
     Returns a (stem, loop) lasso of model states whose induced word the
-    automaton accepts, or None when the product language is empty.  The
-    search order (breadth-first over declaration order) is fixed, so
-    the witness is deterministic.
+    automaton accepts, or None when the product language is empty.
+
+    Product nodes are pairs (model state, automaton state).  A node is
+    generated only when the automaton state's pattern equals the letter
+    of the model state, since any other node can never move.  Emptiness
+    is decided on this product with one acceptance mark per acceptance
+    set.  Only when it is non-empty is the witness taken, on the counter
+    product (model state, automaton state, owed set): node for node the
+    product with `degeneralize(automaton)`, in the same order, so both
+    automata give the same witness.  That witness is the first accepting
+    cycle node in breadth-first order over declaration order, reached by
+    its breadth-first stem and closed by its shortest loop.
     """
     atoms = automaton.closure.atoms
-    emitted = {s: letter_of(model, s, atoms) for s in model.states}
-    adjacency: dict[str, list[str]] = {s: [] for s in model.states}
-    for src, dst in model.edges:
-        adjacency[src].append(dst)
-    patterns = automaton.patterns
+    letter_ids: dict[Letter, int] = {}
+    emitted = [
+        letter_ids.setdefault(letter_of(model, s, atoms), len(letter_ids))
+        for s in model.states
+    ]
+    patterns = [letter_ids.get(p, -1) for p in automaton.patterns]
+    adjacency = model.adjacency
     succ = automaton.succ
+    acceptance = automaton.acceptance
+    k = len(acceptance)
+    nq = len(patterns)
+    nletters = len(letter_ids)
 
-    def out_edges(node: tuple[str, int]) -> list[tuple[str, int]]:
-        s, q = node
-        if patterns[q] != emitted[s]:
-            return []
-        return [(s2, q2) for s2 in adjacency[s] for q2 in succ[q]]
+    # Successors of automaton state q that can read letter l, by q * nletters + l.
+    live: dict[int, list[int]] = {}
 
-    roots = [(model.initial, q) for q in sorted(automaton.initial)]
+    def out_edges(node: int) -> list[int]:
+        s, q = divmod(node, nq)
+        out: list[int] = []
+        for s2 in adjacency[s]:
+            letter = emitted[s2]
+            key = q * nletters + letter
+            targets = live.get(key)
+            if targets is None:
+                targets = live[key] = [q2 for q2 in succ[q] if patterns[q2] == letter]
+            base = s2 * nq
+            out += [base + q2 for q2 in targets]
+        return out
 
-    # Breadth-first reachability with parent pointers for the stem.
-    parent: dict[tuple[str, int], Optional[tuple[str, int]]] = {}
-    order: list[tuple[str, int]] = []
-    queue = deque()
-    for root in roots:
-        if root not in parent:
-            parent[root] = None
-            order.append(root)
-            queue.append(root)
-    while queue:
-        node = queue.popleft()
-        for target in out_edges(node):
-            if target not in parent:
-                parent[target] = node
-                order.append(target)
-                queue.append(target)
+    marks = [0] * nq
+    for i, members in enumerate(acceptance):
+        for q in members:
+            marks[q] |= 1 << i
 
-    # Strongly connected components of the reachable product graph.
-    index: dict[tuple[str, int], int] = {}
-    lowlink: dict[tuple[str, int], int] = {}
-    on_stack: set[tuple[str, int]] = set()
-    scc_stack: list[tuple[str, int]] = []
-    component_of: dict[tuple[str, int], int] = {}
-    component_size: list[int] = []
-    counter = 0
-    for root in order:
-        if root in index:
-            continue
-        work = [(root, iter(out_edges(root)))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        scc_stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, edges = work[-1]
-            advanced = False
-            for target in edges:
-                if target not in index:
-                    index[target] = lowlink[target] = counter
-                    counter += 1
-                    scc_stack.append(target)
-                    on_stack.add(target)
-                    work.append((target, iter(out_edges(target))))
-                    advanced = True
-                    break
-                if target in on_stack:
-                    lowlink[node] = min(lowlink[node], index[target])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent_node = work[-1][0]
-                lowlink[parent_node] = min(lowlink[parent_node], lowlink[node])
-            if lowlink[node] == index[node]:
-                members = []
-                while True:
-                    member = scc_stack.pop()
-                    on_stack.remove(member)
-                    members.append(member)
-                    if member == node:
-                        break
-                cid = len(component_size)
-                component_size.append(len(members))
-                for member in members:
-                    component_of[member] = cid
-
-    def lies_on_cycle(node: tuple[str, int]) -> bool:
-        if component_size[component_of[node]] > 1:
-            return True
-        return node in out_edges(node)
-
-    anchor = None
-    for node in order:
-        _, q = node
-        if q in automaton.accepting and lies_on_cycle(node):
-            anchor = node
-            break
-    if anchor is None:
+    start = model.position[model.initial]
+    roots = [
+        start * nq + q
+        for q in sorted(automaton.initial)
+        if patterns[q] == emitted[start]
+    ]
+    if not accepting_cycle_reachable(
+        roots, out_edges, lambda node: marks[node % nq], (1 << k) - 1
+    ):
         return None
 
-    # Stem: the BFS path from an initial node to the anchor.
-    path = [anchor]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    stem = tuple(s for s, _ in path[:-1])
+    # Counter product: node * k + c owes acceptance set c next.  Each
+    # pair is expanded once for all its counter values.
+    pair_edges = cache(out_edges)
 
-    # Loop: the shortest closed walk from the anchor back to itself.
-    back_parent: dict[tuple[str, int], tuple[str, int]] = {}
-    queue = deque([anchor])
-    closing = None
-    while queue and closing is None:
-        node = queue.popleft()
-        for target in out_edges(node):
-            if target == anchor:
-                closing = node
-                break
-            if target not in back_parent:
-                back_parent[target] = node
-                queue.append(target)
-    if closing is None:
-        raise RuntimeError("internal error: cycle node lost its cycle")
-    cycle = [closing]
-    while cycle[-1] != anchor:
-        cycle.append(back_parent[cycle[-1]])
-    cycle.reverse()
-    loop = tuple(s for s, _ in cycle)
-    return stem, loop
+    def counter_out_edges(node: int) -> list[int]:
+        pair, owed = divmod(node, k)
+        if marks[pair % nq] >> owed & 1:
+            owed = (owed + 1) % k
+        return [target * k + owed for target in pair_edges(pair)]
+
+    found = first_accepting_lasso(
+        [root * k for root in roots],
+        counter_out_edges,
+        lambda node: node % k == 0 and marks[node // k % nq] & 1 == 1,
+    )
+    if found is None:
+        raise RuntimeError("internal error: non-empty product without a witness")
+    stem, loop = found
+    names = model.states
+    return (
+        tuple(names[node // k // nq] for node in stem),
+        tuple(names[node // k // nq] for node in loop),
+    )
 
 
 @dataclass(frozen=True)
@@ -322,7 +298,7 @@ def check_model(
         alphabet = tuple(alphabet)
     family = build_family(psi, alphabet, cap)
     for value in (Truth.FALSE, Truth.UNKNOWN):
-        witness = product_nonempty(model, degeneralize(family[value]))
+        witness = product_nonempty(model, family[value])
         if witness is not None:
             word = induced_word(model, witness, alphabet)
             confirmed = eval_lasso(psi, word)

@@ -26,6 +26,7 @@ from .letters import (
     parse_letter_sequence,
     restrict_letter,
 )
+from .search import accepting_cycle_reachable
 from .syntax import And, Atom, Formula, Next, Not, TrueConst, Until, atoms_of
 from .truth import Truth
 
@@ -280,69 +281,12 @@ def nba_accepts_lasso(automaton: Nba, word: LassoWord) -> bool:
         j = succ_pos[i]
         return [q2 * n + j for q2 in succ[q]]
 
-    roots = [q * n for q in automaton.initial]
-
-    # Forward reachability first: most runs die on the letter guard.
-    reachable: set[int] = set()
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        if node in reachable:
-            continue
-        reachable.add(node)
-        stack.extend(out_edges(node))
-    if not any((node // n) in accepting for node in reachable):
-        return False
-
-    # Iterative Tarjan over the reachable subgraph; accept on the first
-    # cyclic component that contains an accepting node.
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    scc_stack: list[int] = []
-    counter = 0
-    for root in roots:
-        if root in index:
-            continue
-        work = [(root, iter(out_edges(root)))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        scc_stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, edges = work[-1]
-            advanced = False
-            for target in edges:
-                if target not in index:
-                    index[target] = lowlink[target] = counter
-                    counter += 1
-                    scc_stack.append(target)
-                    on_stack.add(target)
-                    work.append((target, iter(out_edges(target))))
-                    advanced = True
-                    break
-                if target in on_stack:
-                    lowlink[node] = min(lowlink[node], index[target])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    member = scc_stack.pop()
-                    on_stack.remove(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                cyclic = len(component) > 1 or any(
-                    target == component[0] for target in out_edges(component[0])
-                )
-                if cyclic and any((m // n) in accepting for m in component):
-                    return True
-    return False
+    return accepting_cycle_reachable(
+        [q * n for q in automaton.initial],
+        out_edges,
+        lambda node: (node // n) in accepting,
+        1,
+    )
 
 
 def enumerate_lassos(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 
 class FormulaSyntaxError(ValueError):
@@ -158,10 +158,30 @@ def _lex(text: str) -> Iterator[_Token]:
     yield _Token("end", "", n)
 
 
+#: Deepest nesting a formula may have.  Each operator and each pair of
+#: parentheses on a path from the whole formula down to an atom counts
+#: one level.  The bound keeps the parser and the recursive functions
+#: over formulas (desugaring, printing, closures, hashing) well inside
+#: Python's default recursion limit.
+MAX_NESTING = 100
+
+_Parsed = tuple[Formula, int]
+
+
 class _Parser:
+    """Recursive descent; every level returns a formula with its nesting
+    height, so that too deep an input fails as a syntax error.
+
+    `depth` counts the parentheses, unary operators and right-recursive
+    operators currently open.  Each of them adds a level to the result,
+    so the count reaches MAX_NESTING only on inputs that nest too deep
+    anyway; checking it stops the recursion before the stack runs out.
+    """
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     @property
     def head(self) -> _Token:
@@ -177,80 +197,97 @@ class _Parser:
         shown = repr(tok.text) if tok.kind != "end" else "end of input"
         return FormulaSyntaxError(f"expected {expected}, found {shown}", tok.pos)
 
+    def checked(self, height: int, tok: _Token) -> int:
+        if height > MAX_NESTING:
+            raise FormulaSyntaxError(
+                f"formula nests deeper than {MAX_NESTING} levels", tok.pos
+            )
+        return height
+
+    def nested(self, tok: _Token, parse_operand: Callable[[], _Parsed]) -> _Parsed:
+        """Parse the operand that follows `tok`, one level deeper."""
+        self.depth += 1
+        self.checked(self.depth, tok)
+        parsed = parse_operand()
+        self.depth -= 1
+        return parsed
+
+    def node(self, tok: _Token, kind: type, *operands: _Parsed) -> _Parsed:
+        height = 1 + max(h for _, h in operands)
+        return kind(*(f for f, _ in operands)), self.checked(height, tok)
+
     # Precedence, loosest first: -> | & (U, R) unary.
-    def implies_level(self) -> Formula:
+    def implies_level(self) -> _Parsed:
         left = self.or_level()
         if self.head.kind == "implies":
-            self.advance()
-            return Implies(left, self.implies_level())
+            tok = self.advance()
+            return self.node(tok, Implies, left, self.nested(tok, self.implies_level))
         return left
 
-    def or_level(self) -> Formula:
+    def or_level(self) -> _Parsed:
         f = self.and_level()
         while self.head.kind == "or":
-            self.advance()
-            f = Or(f, self.and_level())
+            f = self.node(self.advance(), Or, f, self.and_level())
         return f
 
-    def and_level(self) -> Formula:
+    def and_level(self) -> _Parsed:
         f = self.until_level()
         while self.head.kind == "and":
-            self.advance()
-            f = And(f, self.until_level())
+            f = self.node(self.advance(), And, f, self.until_level())
         return f
 
-    def until_level(self) -> Formula:
+    def until_level(self) -> _Parsed:
         left = self.unary_level()
-        if self.head.kind == "until":
-            self.advance()
-            return Until(left, self.until_level())
-        if self.head.kind == "release":
-            self.advance()
-            return Release(left, self.until_level())
+        if self.head.kind in ("until", "release"):
+            tok = self.advance()
+            kind = Until if tok.kind == "until" else Release
+            return self.node(tok, kind, left, self.nested(tok, self.until_level))
         return left
 
-    def unary_level(self) -> Formula:
+    def unary_level(self) -> _Parsed:
         tok = self.head
         if tok.kind == "not":
             self.advance()
-            return Not(self.unary_level())
+            return self.node(tok, Not, self.nested(tok, self.unary_level))
         if tok.kind == "unary":
             self.advance()
-            return _UNARY_KEYWORDS[tok.text](self.unary_level())
+            kind = _UNARY_KEYWORDS[tok.text]
+            return self.node(tok, kind, self.nested(tok, self.unary_level))
         return self.atom_level()
 
-    def atom_level(self) -> Formula:
+    def atom_level(self) -> _Parsed:
         tok = self.head
         if tok.kind == "atom":
             self.advance()
-            return Atom(tok.text)
+            return Atom(tok.text), 0
         if tok.kind == "true":
             self.advance()
-            return TRUE
+            return TRUE, 0
         if tok.kind == "false":
             self.advance()
-            return FalseConst()
+            return FalseConst(), 0
         if tok.kind == "lparen":
             self.advance()
-            f = self.implies_level()
+            f, height = self.nested(tok, self.implies_level)
             if self.head.kind != "rparen":
                 raise self.fail("')'")
             self.advance()
-            return f
+            return f, self.checked(height + 1, tok)
         raise self.fail("a formula")
 
 
 def parse(text: str) -> Formula:
     """Parse surface LTL text into a formula tree.
 
-    Raises FormulaSyntaxError on empty input, unknown tokens, or
-    unexpected tokens, reporting the character position.
+    Raises FormulaSyntaxError on empty input, unknown tokens, unexpected
+    tokens, or nesting deeper than MAX_NESTING levels, reporting the
+    character position.
     """
     tokens = list(_lex(text))
     if tokens[0].kind == "end":
         raise FormulaSyntaxError("empty input", 0)
     parser = _Parser(tokens)
-    f = parser.implies_level()
+    f, _height = parser.implies_level()
     if parser.head.kind != "end":
         raise parser.fail("end of input")
     return f

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import deque
 from itertools import product
 
 import networkx as nx
@@ -20,10 +21,12 @@ from triltl import (
     And,
     Gnba,
     LassoWord,
+    Nba,
     Not,
     TrueConst,
     Until,
     lasso,
+    letter_of,
     negated,
     restrict_letter,
 )
@@ -106,7 +109,7 @@ def naive_elementary(closure: Closure) -> set[tuple[int, ...]]:
 
 # ---------------------------------------------------------------------------
 # Generalized-acceptance membership, via networkx (independent of the
-# library's degeneralization and its Tarjan search).
+# library's degeneralization and its emptiness search).
 # ---------------------------------------------------------------------------
 
 
@@ -140,6 +143,121 @@ def gnba_accepts_lasso(g: Gnba, word: LassoWord) -> bool:
         if all(state_ids & acc for acc in g.acceptance):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Reference witness search: the explicit breadth-first + Tarjan product
+# search on a degeneralized automaton, kept as the oracle that fixes the
+# witness definition (first accepting cycle node in BFS order, its BFS
+# stem, its shortest loop).
+# ---------------------------------------------------------------------------
+
+
+def reference_product_nonempty(model, automaton: Nba):
+    atoms = automaton.closure.atoms
+    emitted = {s: letter_of(model, s, atoms) for s in model.states}
+    adjacency: dict[str, list[str]] = {s: [] for s in model.states}
+    for src, dst in model.edges:
+        adjacency[src].append(dst)
+    patterns = automaton.patterns
+    succ = automaton.succ
+
+    def out_edges(node):
+        s, q = node
+        if patterns[q] != emitted[s]:
+            return []
+        return [(s2, q2) for s2 in adjacency[s] for q2 in succ[q]]
+
+    roots = [(model.initial, q) for q in sorted(automaton.initial)]
+
+    parent = {}
+    order = []
+    queue = deque()
+    for root in roots:
+        if root not in parent:
+            parent[root] = None
+            order.append(root)
+            queue.append(root)
+    while queue:
+        node = queue.popleft()
+        for target in out_edges(node):
+            if target not in parent:
+                parent[target] = node
+                order.append(target)
+                queue.append(target)
+
+    index, lowlink = {}, {}
+    on_stack, scc_stack = set(), []
+    component_of, component_size = {}, []
+    for root in order:
+        if root in index:
+            continue
+        work = [(root, iter(out_edges(root)))]
+        index[root] = lowlink[root] = len(index)
+        scc_stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, edges = work[-1]
+            advanced = False
+            for target in edges:
+                if target not in index:
+                    index[target] = lowlink[target] = len(index)
+                    scc_stack.append(target)
+                    on_stack.add(target)
+                    work.append((target, iter(out_edges(target))))
+                    advanced = True
+                    break
+                if target in on_stack:
+                    lowlink[node] = min(lowlink[node], index[target])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                above = work[-1][0]
+                lowlink[above] = min(lowlink[above], lowlink[node])
+            if lowlink[node] == index[node]:
+                members = []
+                while True:
+                    member = scc_stack.pop()
+                    on_stack.remove(member)
+                    members.append(member)
+                    if member == node:
+                        break
+                for member in members:
+                    component_of[member] = len(component_size)
+                component_size.append(len(members))
+
+    def lies_on_cycle(node):
+        return component_size[component_of[node]] > 1 or node in out_edges(node)
+
+    anchor = next(
+        (n for n in order if n[1] in automaton.accepting and lies_on_cycle(n)), None
+    )
+    if anchor is None:
+        return None
+    path = [anchor]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    stem = tuple(s for s, _ in path[:-1])
+
+    back_parent = {}
+    queue = deque([anchor])
+    closing = None
+    while queue and closing is None:
+        node = queue.popleft()
+        for target in out_edges(node):
+            if target == anchor:
+                closing = node
+                break
+            if target not in back_parent:
+                back_parent[target] = node
+                queue.append(target)
+    cycle = [closing]
+    while cycle[-1] != anchor:
+        cycle.append(back_parent[cycle[-1]])
+    cycle.reverse()
+    return stem, tuple(s for s, _ in cycle)
 
 
 # ---------------------------------------------------------------------------

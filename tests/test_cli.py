@@ -1,6 +1,6 @@
 import pytest
 
-from triltl import Truth, modelcheck, read_hoa
+from triltl import MAX_NESTING, Truth, modelcheck, read_hoa
 from triltl.cli import main
 from helpers import model_doc, validate_dot
 
@@ -149,6 +149,20 @@ class TestCheck:
         stem_text, loop_text = lines[1].split(";")
         assert "s1" in loop_text.split()
 
+    def test_two_state_false_witness_is_exact(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(
+            model_doc(
+                ["s0", "s1"],
+                "s0",
+                [["s0", "s1"], ["s1", "s1"]],
+                {"s0": {"a": "t"}, "s1": {"a": "f"}},
+            )
+        )
+        code, stdout, _ = run(capsys, "check", "--model", str(path), "--formula", "G a")
+        assert code == 0
+        assert stdout == "FALSE\ns0 ; s1 s1\n"
+
     def test_malformed_model(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(model_doc(["s0"], "s0", [], {}))
@@ -236,3 +250,34 @@ class TestEval:
         with pytest.raises(SystemExit) as err:
             main(["eval", "--formula", "a", "--loop", "a"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "formula",
+        ["X " * 1200 + "a", "(" * 500 + "a" + ")" * 500],
+        ids=["next-1200", "parens-500"],
+    )
+    def test_too_deep_formula_is_usage_error(self, capsys, formula):
+        code, stdout, stderr = run(
+            capsys, "eval", "--formula", formula, "--stem", "", "--loop", "a"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr.count("\n") == 1
+        assert f"deeper than {MAX_NESTING} levels" in stderr
+
+    @pytest.mark.parametrize(
+        "formula, expected",
+        [
+            ("X " * MAX_NESTING + "a", "TRUE\n"),
+            ("(" * MAX_NESTING + "a" + ")" * MAX_NESTING, "TRUE\n"),
+            ("G (a -> " * (MAX_NESTING // 3) + "a" + ")" * (MAX_NESTING // 3), "TRUE\n"),
+            (" | ".join(["!a"] * MAX_NESTING), "FALSE\n"),
+        ],
+        ids=["next", "parens", "globally-implies", "or-chain"],
+    )
+    def test_formula_at_the_nesting_limit(self, capsys, formula, expected):
+        code, stdout, _ = run(
+            capsys, "eval", "--formula", formula, "--stem", "", "--loop", "a"
+        )
+        assert code == 0
+        assert stdout == expected

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from triltl import (
     ModelFormatError,
     Truth,
     build_automaton,
+    build_family,
     check_model,
     degeneralize,
     eval_lasso,
@@ -13,7 +16,7 @@ from triltl import (
     product_nonempty,
 )
 from triltl.modelcheck import induced_word
-from helpers import model_doc
+from helpers import CORPUS, model_doc, reference_product_nonempty
 
 
 def self_loop(labels):
@@ -140,6 +143,71 @@ class TestProductNonEmpty:
         m = self_loop({"a": "t"})
         nba = degeneralize(build_automaton(parse_core("true"), [], Truth.FALSE))
         assert product_nonempty(m, nba) is None
+
+
+def _random_model(seed, size):
+    rng = random.Random(seed)
+    states = [f"s{i}" for i in range(size)]
+    edges = [[s, rng.choice(states)] for s in states]
+    edges += [[rng.choice(states), rng.choice(states)] for _ in range(size)]
+    labels = {
+        s: {atom: rng.choice("tfu") for atom in "ab" if rng.random() < 0.8}
+        for s in states
+    }
+    return parse_model(model_doc(states, "s0", edges, labels))
+
+
+SMALL_MODELS = [
+    self_loop({"a": "t"}),
+    self_loop({"a": "u"}),
+    self_loop({"a": "f", "b": "t"}),
+    TWO_STATE,
+    parse_model(
+        model_doc(
+            ["s0", "sf", "su"],
+            "s0",
+            [["s0", "sf"], ["s0", "su"], ["sf", "sf"], ["su", "su"]],
+            {"s0": {"a": "t"}, "sf": {"a": "f"}, "su": {"a": "u"}},
+        )
+    ),
+    parse_model(
+        model_doc(
+            ["s0", "s1", "s2"],
+            "s0",
+            [["s0", "s1"], ["s1", "s2"], ["s2", "s0"], ["s1", "s1"]],
+            {"s0": {"a": "t", "b": "u"}, "s1": {"a": "t", "b": "t"}, "s2": {"a": "f"}},
+        )
+    ),
+    *(_random_model(seed, size) for seed, size in ((1, 5), (2, 7), (3, 9))),
+]
+
+
+class TestWitnessParity:
+    """The on-the-fly search returns exactly the witness of the explicit
+    breadth-first + Tarjan search, whether it is given the generalized
+    automaton or its degeneralization."""
+
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_corpus_formula_on_small_models(self, text):
+        psi = parse_core(text)
+        family = build_family(psi, ("a", "b"))
+        for model in SMALL_MODELS:
+            for value in (Truth.FALSE, Truth.UNKNOWN):
+                g = family[value]
+                nba = degeneralize(g)
+                expected = reference_product_nonempty(model, nba)
+                assert product_nonempty(model, nba) == expected
+                assert product_nonempty(model, g) == expected
+
+    def test_models_cover_both_outcomes(self):
+        found = {
+            product_nonempty(model, build_family(parse_core(text), ("a", "b"))[value])
+            is None
+            for text in CORPUS
+            for model in SMALL_MODELS
+            for value in (Truth.FALSE, Truth.UNKNOWN)
+        }
+        assert found == {True, False}
 
 
 class TestCheckModel:

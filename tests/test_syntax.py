@@ -8,6 +8,7 @@ from triltl import (
     FormulaSyntaxError,
     Globally,
     Implies,
+    MAX_NESTING,
     Next,
     Not,
     Or,
@@ -22,6 +23,7 @@ from triltl import (
     parse,
     parse_core,
 )
+from triltl.semantics import _subformulas_bottom_up
 from triltl.syntax import check_core
 
 A, B, P, Q = Atom("a"), Atom("b"), Atom("p"), Atom("q")
@@ -99,6 +101,45 @@ class TestParse:
     def test_lone_arrow_fragment(self):
         with pytest.raises(FormulaSyntaxError):
             parse("a - b")
+
+
+class TestNestingLimit:
+    """Each operator and each pair of parentheses is one level; the
+    limit holds whether the depth comes from recursion in the parser
+    (prefix operators, parentheses, right-associative operators) or
+    from a left-associative chain."""
+
+    SHAPES = {
+        "next": lambda d: "X " * d + "a",
+        "parens": lambda d: "(" * d + "a" + ")" * d,
+        "until": lambda d: " U ".join(["a"] * (d + 1)),
+        "and": lambda d: " & ".join(["a"] * (d + 1)),
+        "not-or": lambda d: "!" + " | ".join(["a"] * d),
+        "globally-parens": lambda d: "G (" * (d // 2) + "a" + ")" * (d // 2),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_limit_is_exact(self, shape):
+        make = self.SHAPES[shape]
+        parse(make(MAX_NESTING))
+        with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+            parse(make(MAX_NESTING + 2))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_recursive_functions_fit_at_the_limit(self, shape):
+        f = parse(self.SHAPES[shape](MAX_NESTING))
+        core = desugar(f)
+        atoms_of(f)
+        formula_size(f)
+        check_core(core)
+        format_formula(core)
+        closure_of(core)
+        _subformulas_bottom_up(core)
+
+    def test_error_points_at_the_first_level_too_many(self):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse("X " * 1200 + "a")
+        assert err.value.position == 2 * MAX_NESTING
 
 
 class TestDesugar:
