@@ -31,7 +31,6 @@ from .letters import (
     UnknownAtomError,
     all_letters,
     format_letter,
-    letter_truth,
     make_letter,
     parse_letter,
     parse_letter_sequence,
@@ -43,6 +42,7 @@ from .modelcheck import (
     Verdict,
     check_model,
     letter_of,
+    nba_accepts_lasso,
     parse_model,
     product_nonempty,
 )
@@ -54,7 +54,6 @@ from .semantics import (
     eval_lasso,
     eval_lasso_two_valued,
     lasso,
-    nba_accepts_lasso,
     parse_lasso,
 )
 from .syntax import (

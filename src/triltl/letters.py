@@ -9,12 +9,9 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .syntax import is_atom_name
-from .truth import Truth
 
 Literal = tuple[str, bool]
 Letter = frozenset  # frozenset[Literal]
-
-EMPTY_LETTER: Letter = frozenset()
 
 
 class UnknownAtomError(ValueError):
@@ -39,15 +36,6 @@ def make_letter(
             if name not in alphabet:
                 raise UnknownAtomError(f"unknown atom {name!r}")
     return letter
-
-
-def letter_truth(letter: Letter, atom: str) -> Truth:
-    """The truth value the letter assigns to an atom."""
-    if (atom, True) in letter:
-        return Truth.TRUE
-    if (atom, False) in letter:
-        return Truth.FALSE
-    return Truth.UNKNOWN
 
 
 def restrict_letter(letter: Letter, atoms) -> Letter:

@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .elementary import DEFAULT_CANDIDATE_CAP
 from .gnba import Gnba, Nba, build_family
-from .letters import Letter
+from .letters import Letter, restrict_letter
 from .search import accepting_cycle_reachable, first_accepting_lasso
-from .semantics import eval_lasso, lasso
+from .semantics import LassoWord, eval_lasso, lasso
 from .syntax import Formula, atoms_of, is_atom_name
 from .truth import Truth
 
@@ -97,6 +97,8 @@ def parse_model(document: str) -> TransitionModel:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ModelFormatError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ModelFormatError("model document must be a JSON object")
     unknown = set(data) - {"states", "initial", "edges", "labels"}
@@ -172,36 +174,27 @@ def parse_model(document: str) -> TransitionModel:
 Witness = tuple[tuple[str, ...], tuple[str, ...]]
 
 
-def product_nonempty(
-    model: TransitionModel, automaton: Union[Gnba, Nba]
-) -> Optional[Witness]:
-    """Search the synchronous product for an accepted word of the model.
+def _product(
+    automaton: Union[Gnba, Nba],
+    letters: Iterable[Letter],
+    adjacency: Sequence[Sequence[int]],
+    start: int,
+):
+    """The synchronous product of a letter-labelled graph with the automaton.
 
-    Returns a (stem, loop) lasso of model states whose induced word the
-    automaton accepts, or None when the product language is empty.
-
-    Product nodes are pairs (model state, automaton state).  A node is
-    generated only when the automaton state's pattern equals the letter
-    of the model state, since any other node can never move.  Emptiness
-    is decided on this product with one acceptance mark per acceptance
-    set.  Only when it is non-empty is the witness taken, on the counter
-    product (model state, automaton state, owed set): node for node the
-    product with `degeneralize(automaton)`, in the same order, so both
-    automata give the same witness.  That witness is the first accepting
-    cycle node in breadth-first order over declaration order, reached by
-    its breadth-first stem and closed by its shortest loop.
+    Graph node s carries the s-th of `letters` (restricted to the closure
+    atoms) and steps to `adjacency[s]`.  Product node s * nq + q pairs
+    graph node s with automaton state q.  A node is generated only when
+    q's pattern equals the letter of s, since any other node can never
+    move; the successors of q that can read a letter are listed once per
+    (q, letter).  Returns `(roots, out_edges, marks, all_marks)`, the
+    arguments of `accepting_cycle_reachable`, with one mark per
+    acceptance set.
     """
-    atoms = automaton.closure.atoms
     letter_ids: dict[Letter, int] = {}
-    emitted = [
-        letter_ids.setdefault(letter_of(model, s, atoms), len(letter_ids))
-        for s in model.states
-    ]
+    emitted = [letter_ids.setdefault(letter, len(letter_ids)) for letter in letters]
     patterns = [letter_ids.get(p, -1) for p in automaton.patterns]
-    adjacency = model.adjacency
     succ = automaton.succ
-    acceptance = automaton.acceptance
-    k = len(acceptance)
     nq = len(patterns)
     nletters = len(letter_ids)
 
@@ -221,44 +214,93 @@ def product_nonempty(
             out += [base + q2 for q2 in targets]
         return out
 
-    marks = [0] * nq
-    for i, members in enumerate(acceptance):
+    state_marks = [0] * nq
+    for i, members in enumerate(automaton.acceptance):
         for q in members:
-            marks[q] |= 1 << i
+            state_marks[q] |= 1 << i
 
-    start = model.position[model.initial]
     roots = [
         start * nq + q
         for q in sorted(automaton.initial)
         if patterns[q] == emitted[start]
     ]
-    if not accepting_cycle_reachable(
-        roots, out_edges, lambda node: marks[node % nq], (1 << k) - 1
-    ):
+    return (
+        roots,
+        out_edges,
+        lambda node: state_marks[node % nq],
+        (1 << len(automaton.acceptance)) - 1,
+    )
+
+
+def product_nonempty(
+    model: TransitionModel, automaton: Union[Gnba, Nba]
+) -> Optional[Witness]:
+    """Search the synchronous product for an accepted word of the model.
+
+    Returns a (stem, loop) lasso of model states whose induced word the
+    automaton accepts, or None when the product language is empty.
+
+    Emptiness is decided on the live-node product of `_product`, whose
+    nodes pair a model state with an automaton state.  Only when it is
+    non-empty is the witness taken, on the counter product (model state,
+    automaton state, owed set): node for node the product with
+    `degeneralize(automaton)`, in the same order, so both automata give
+    the same witness.  That witness is the first accepting cycle node in
+    breadth-first order over declaration order, reached by its
+    breadth-first stem and closed by its shortest loop.
+    """
+    atoms = automaton.closure.atoms
+    roots, out_edges, marks, all_marks = _product(
+        automaton,
+        (letter_of(model, s, atoms) for s in model.states),
+        model.adjacency,
+        model.position[model.initial],
+    )
+    if not accepting_cycle_reachable(roots, out_edges, marks, all_marks):
         return None
 
     # Counter product: node * k + c owes acceptance set c next.  Each
     # pair is expanded once for all its counter values.
+    k = len(automaton.acceptance)
     pair_edges = cache(out_edges)
 
     def counter_out_edges(node: int) -> list[int]:
         pair, owed = divmod(node, k)
-        if marks[pair % nq] >> owed & 1:
+        if marks(pair) >> owed & 1:
             owed = (owed + 1) % k
         return [target * k + owed for target in pair_edges(pair)]
 
     found = first_accepting_lasso(
         [root * k for root in roots],
         counter_out_edges,
-        lambda node: node % k == 0 and marks[node // k % nq] & 1 == 1,
+        lambda node: node % k == 0 and marks(node // k) & 1 == 1,
     )
     if found is None:
         raise RuntimeError("internal error: non-empty product without a witness")
     stem, loop = found
+    nq = len(automaton.patterns)
     names = model.states
     return (
         tuple(names[node // k // nq] for node in stem),
         tuple(names[node // k // nq] for node in loop),
+    )
+
+
+def nba_accepts_lasso(automaton: Union[Gnba, Nba], word: LassoWord) -> bool:
+    """Does some run of the automaton over the lasso word visit every
+    acceptance set infinitely often?
+
+    Decided on the same product as `product_nonempty`, with the word's
+    positions as the graph (wrap-around at the end of the loop).
+    """
+    atoms = set(automaton.closure.atoms)
+    return accepting_cycle_reachable(
+        *_product(
+            automaton,
+            (restrict_letter(letter, atoms) for letter in word.letters),
+            [(word.successor(i),) for i in range(word.length)],
+            0,
+        )
     )
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .gnba import Nba
 from .letters import (
     Letter,
     UnknownAtomError,
@@ -24,9 +23,7 @@ from .letters import (
     letter_atoms,
     make_letter,
     parse_letter_sequence,
-    restrict_letter,
 )
-from .search import accepting_cycle_reachable
 from .syntax import And, Atom, Formula, Next, Not, TrueConst, Until, atoms_of
 from .truth import Truth
 
@@ -127,13 +124,13 @@ def _fixpoint_sweeps(n: int) -> int:
 
 
 def _label_tables(
-    psi: Formula, word: LassoWord, sweep_budget: Optional[int] = None
+    psi: Formula, word: LassoWord
 ) -> dict[Formula, tuple[list[bool], list[bool]]]:
     """For each subformula, positionwise (definitely-true, definitely-false)."""
     n = word.length
     succ = [word.successor(i) for i in range(n)]
     letters = word.letters
-    budget = _fixpoint_sweeps(n) if sweep_budget is None else sweep_budget
+    budget = _fixpoint_sweeps(n)
 
     tables: dict[Formula, tuple[list[bool], list[bool]]] = {}
     for g in _subformulas_bottom_up(psi):
@@ -256,37 +253,6 @@ def eval_lasso_two_valued(psi: Formula, word: LassoWord) -> bool:
             raise ValueError(f"not a core formula: {g!r}")
         tables[g] = t
     return tables[psi][0]
-
-
-def nba_accepts_lasso(automaton: Nba, word: LassoWord) -> bool:
-    """Does some run of the automaton over the lasso word hit an
-    accepting state infinitely often?
-
-    Decided on the product of automaton states with word positions
-    (wrap-around at the end of the loop): accepted iff a cycle through
-    an accepting product node is reachable from an initial node.
-    """
-    n = word.length
-    succ_pos = [word.successor(i) for i in range(n)]
-    closure_atoms = set(automaton.closure.atoms)
-    restricted = [restrict_letter(letter, closure_atoms) for letter in word.letters]
-    patterns = automaton.patterns
-    succ = automaton.succ
-    accepting = automaton.accepting
-
-    def out_edges(node: int) -> list[int]:
-        q, i = divmod(node, n)
-        if patterns[q] != restricted[i]:
-            return []
-        j = succ_pos[i]
-        return [q2 * n + j for q2 in succ[q]]
-
-    return accepting_cycle_reachable(
-        [q * n for q in automaton.initial],
-        out_edges,
-        lambda node: (node // n) in accepting,
-        1,
-    )
 
 
 def enumerate_lassos(

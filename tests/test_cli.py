@@ -177,6 +177,17 @@ class TestCheck:
         assert code == 2
         assert "cannot read model" in stderr
 
+    def test_deeply_nested_model_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, stdout, stderr = run(
+            capsys, "check", "--model", str(path), "--formula", "a"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr.count("\n") == 1
+        assert "nested too deeply" in stderr
+
     def test_failed_witness_revalidation_is_not_a_usage_error(
         self, capsys, tmp_path, monkeypatch
     ):

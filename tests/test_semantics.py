@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +26,7 @@ from triltl import (
     parse_core,
     parse_lasso,
 )
+from triltl import semantics
 from helpers import shift
 
 A, B = Atom("a"), Atom("b")
@@ -150,6 +154,37 @@ class TestEvalLasso:
     def test_loop_unrolling_is_invisible(self, psi, w):
         doubled = lasso(w.stem, w.loop + w.loop, w.alphabet)
         assert eval_lasso(psi, w) is eval_lasso(psi, doubled)
+
+
+class TestFixpointGuard:
+    def test_unconverged_until_raises(self, monkeypatch):
+        monkeypatch.setattr(semantics, "_fixpoint_sweeps", lambda n: 1)
+        word = lasso([], [frozenset({("a", True)}), frozenset({("b", True)})], AB)
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            eval_lasso(parse_core("a U b"), word)
+
+
+class TestIndependence:
+    def test_imports_no_automaton_code(self):
+        # The evaluator is the oracle for the automaton, so it must not
+        # share code with the construction or the product search.
+        tree = ast.parse(Path(semantics.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                parts = (["triltl"] if node.level else []) + [node.module or ""]
+                base = ".".join(filter(None, parts))
+                imported.add(base)
+                imported.update(f"{base}.{alias.name}" for alias in node.names)
+        forbidden = {"triltl.gnba", "triltl.search", "triltl.modelcheck"}
+        assert not {
+            name
+            for name in imported
+            for module in forbidden
+            if name == module or name.startswith(module + ".")
+        }
 
 
 class TestTwoValued:
