@@ -149,6 +149,16 @@ def enumerate_states(
     return out
 
 
+def check_candidate_cap(closure: Closure, cap: int) -> None:
+    """Raise StateSpaceLimitError when 3^(number of bases) exceeds `cap`."""
+    candidates = 3 ** len(closure.bases)
+    if candidates > cap:
+        raise StateSpaceLimitError(
+            f"state-space limit exceeded: 3^{len(closure.bases)} = {candidates} "
+            f"candidate sets, cap is {cap}"
+        )
+
+
 def enumerate_elementary(
     closure: Closure, cap: int = DEFAULT_CANDIDATE_CAP
 ) -> list[StateVec]:
@@ -156,12 +166,7 @@ def enumerate_elementary(
 
     Raises StateSpaceLimitError when 3^(number of bases) exceeds `cap`.
     """
-    candidates = 3 ** len(closure.bases)
-    if candidates > cap:
-        raise StateSpaceLimitError(
-            f"state-space limit exceeded: 3^{len(closure.bases)} = {candidates} "
-            f"candidate sets, cap is {cap}"
-        )
+    check_candidate_cap(closure, cap)
     return enumerate_states(closure)
 
 

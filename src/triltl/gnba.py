@@ -19,7 +19,7 @@ from .elementary import (
     NEG,
     POS,
     StateVec,
-    enumerate_elementary,
+    check_candidate_cap,
     enumerate_states,
     format_state,
     member,
@@ -113,6 +113,16 @@ def successors(vec: StateVec, letter: Letter, closure: Closure) -> list[StateVec
     return enumerate_states(closure, allowed)
 
 
+def _fulfils(vec: Sequence[int], i: int, rref: tuple[int, bool]) -> bool:
+    """Is `vec` in the acceptance set of until base i, whose right
+    operand is `rref`?  It is unless the until is pending (present
+    without its right operand) or its right operand is refuted while
+    the until is not."""
+    return (vec[i] != POS or member(vec, rref)) and (
+        not member_negated(vec, rref) or vec[i] == NEG
+    )
+
+
 def acceptance_sets(
     states: Sequence[StateVec], closure: Closure
 ) -> list[frozenset[int]]:
@@ -121,14 +131,20 @@ def acceptance_sets(
     out = []
     for i, _lref, rref in closure.untils:
         members = frozenset(
-            sid
-            for sid, vec in enumerate(states)
-            if (vec[i] != POS or member(vec, rref))
-            and (not member_negated(vec, rref) or vec[i] == NEG)
+            sid for sid, vec in enumerate(states) if _fulfils(vec, i, rref)
         )
         out.append(members)
     out.append(frozenset(range(len(states))))
     return out
+
+
+def _acceptance_mask(vec: StateVec, closure: Closure) -> int:
+    """The sets of `acceptance_sets` that hold `vec`, bit k for set k."""
+    mask = 1 << len(closure.untils)
+    for k, (i, _lref, rref) in enumerate(closure.untils):
+        if _fulfils(vec, i, rref):
+            mask |= 1 << k
+    return mask
 
 
 @dataclass(frozen=True)
@@ -158,9 +174,9 @@ class Gnba:
         return format_state(self.states[sid], self.closure)
 
 
-def _initial_ids(
-    states: Sequence[StateVec], closure: Closure, value: Truth
-) -> frozenset[int]:
+def _initial_mark(closure: Closure, value: Truth) -> tuple[int, int]:
+    """The formula's coordinate and the mark the initial states of the
+    automaton for `value` give it."""
     idx, positive = closure.ref(closure.formula)
     if value is Truth.TRUE:
         wanted = POS if positive else NEG
@@ -168,7 +184,32 @@ def _initial_ids(
         wanted = NEG if positive else POS
     else:
         wanted = ABSENT
+    return idx, wanted
+
+
+def _initial_ids(
+    states: Sequence[StateVec], closure: Closure, value: Truth
+) -> frozenset[int]:
+    idx, wanted = _initial_mark(closure, value)
     return frozenset(sid for sid, vec in enumerate(states) if vec[idx] == wanted)
+
+
+def checked_closure(psi: Formula, alphabet: tuple[str, ...], cap: int) -> Closure:
+    """The closure of `psi`, after the checks every construction makes
+    before it enumerates a state.
+
+    Raises ValueError when the alphabet repeats an atom,
+    UnknownAtomError when it lacks an atom of `psi`, and
+    StateSpaceLimitError when 3^(closure size) exceeds `cap`.
+    """
+    if len(set(alphabet)) != len(alphabet):
+        raise ValueError("alphabet contains duplicate atoms")
+    missing = sorted(atoms_of(psi) - set(alphabet))
+    if missing:
+        raise UnknownAtomError(f"formula atom {missing[0]!r} is not in the alphabet")
+    closure = closure_of(psi)
+    check_candidate_cap(closure, cap)
+    return closure
 
 
 class _CoreAutomaton:
@@ -183,17 +224,9 @@ class _CoreAutomaton:
     """
 
     def __init__(self, psi: Formula, alphabet: Sequence[str], cap: int):
-        alphabet = tuple(alphabet)
-        if len(set(alphabet)) != len(alphabet):
-            raise ValueError("alphabet contains duplicate atoms")
-        missing = sorted(atoms_of(psi) - set(alphabet))
-        if missing:
-            raise UnknownAtomError(
-                f"formula atom {missing[0]!r} is not in the alphabet"
-            )
-        self.alphabet = alphabet
-        self.closure = closure_of(psi)
-        self.states = tuple(enumerate_elementary(self.closure, cap))
+        self.alphabet = tuple(alphabet)
+        self.closure = checked_closure(psi, self.alphabet, cap)
+        self.states = tuple(enumerate_states(self.closure))
         state_ids = {vec: sid for sid, vec in enumerate(self.states)}
         self.patterns = tuple(
             state_pattern(vec, self.closure) for vec in self.states
@@ -250,6 +283,105 @@ def build_family(
     """All three automata of a formula, sharing states and transitions."""
     core = _CoreAutomaton(psi, alphabet, cap)
     return {value: core.with_value(value) for value in Truth}
+
+
+#: Marks each coordinate may take, None where any mark may (see
+#: `enumerate_states`).
+Allowed = list[Optional[frozenset[int]]]
+
+_ONLY = {mark: frozenset((mark,)) for mark in (ABSENT, POS, NEG)}
+
+
+def _pin(allowed: Allowed, pins: Sequence[tuple[int, int]]) -> Optional[Allowed]:
+    """`allowed` with each coordinate of `pins` held to its mark, or None
+    when some coordinate may not take that mark."""
+    out = list(allowed)
+    for i, mark in pins:
+        current = out[i]
+        if current is not None and mark not in current:
+            return None
+        out[i] = _ONLY[mark]
+    return out
+
+
+class LazyFamily:
+    """The three automata of `build_family`, built only where a product
+    with a fixed list of letters reads them, in the manner of the
+    on-the-fly tableau (Gerth, Peled, Vardi and Wolper, PSTV 1995).
+
+    A product pairs an automaton state only with a letter equal to its
+    literal pattern.  Holding every atom coordinate to the marks of
+    letter l makes `enumerate_states` yield exactly the states whose
+    pattern is l, in their lexicographic order, which is the order
+    `build_family` numbers them in.  So `roots(value, l)` lists the
+    initial states of the automaton for `value` whose pattern is l, and
+    `targets(q, l)` the successors of q whose pattern is l, in the same
+    relative order as the eager automaton.  State ids are handed out on
+    discovery; `marks[q]` is q's acceptance bitmask, bit k for set k of
+    `acceptance_sets`, computed once.  Successor lists are shared by
+    (linkage mask, letter), as `_CoreAutomaton` shares them by mask.
+    """
+
+    def __init__(self, closure: Closure, letters: Sequence[Letter]):
+        self.closure = closure
+        # The (atom coordinate, mark) pairs of each letter.
+        self._pins: list[list[tuple[int, int]]] = []
+        for letter in letters:
+            value = dict(letter)
+            self._pins.append(
+                [
+                    (i, ABSENT if name not in value else POS if value[name] else NEG)
+                    for i, name in closure.atom_coords
+                ]
+            )
+        self.nletters = len(letters)
+        self.marks: list[int] = []
+        self.all_marks = (1 << (len(closure.untils) + 1)) - 1
+        self._ids: dict[StateVec, int] = {}
+        self._mask_of: list[int] = []
+        self._mask_ids: dict[Optional[tuple[Optional[frozenset[int]], ...]], int] = {}
+        self._masks: list[Optional[Allowed]] = []
+        self._targets: dict[int, list[int]] = {}
+
+    def _ids_of(self, allowed: Optional[Allowed]) -> list[int]:
+        """Ids of the states `allowed` admits, in enumeration order."""
+        if allowed is None:
+            return []
+        out = []
+        closure = self.closure
+        for vec in enumerate_states(closure, allowed):
+            sid = self._ids.get(vec)
+            if sid is None:
+                sid = self._ids[vec] = len(self.marks)
+                successor = _successor_allowed(vec, closure)
+                mask = None if successor is None else tuple(successor)
+                mask_id = self._mask_ids.get(mask)
+                if mask_id is None:
+                    mask_id = self._mask_ids[mask] = len(self._masks)
+                    self._masks.append(successor)
+                self._mask_of.append(mask_id)
+                self.marks.append(_acceptance_mask(vec, closure))
+            out.append(sid)
+        return out
+
+    def roots(self, value: Truth, letter: int) -> list[int]:
+        """Initial states of the automaton for `value` with pattern `letter`."""
+        idx, wanted = _initial_mark(self.closure, value)
+        allowed: Allowed = [None] * len(self.closure.bases)
+        allowed[idx] = _ONLY[wanted]
+        return self._ids_of(_pin(allowed, self._pins[letter]))
+
+    def targets(self, q: int, letter: int) -> list[int]:
+        """Successors of state q with pattern `letter`."""
+        mask_id = self._mask_of[q]
+        key = mask_id * self.nletters + letter
+        found = self._targets.get(key)
+        if found is None:
+            allowed = self._masks[mask_id]
+            if allowed is not None:
+                allowed = _pin(allowed, self._pins[letter])
+            found = self._targets[key] = self._ids_of(allowed)
+        return found
 
 
 @dataclass(frozen=True)

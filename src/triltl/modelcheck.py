@@ -15,7 +15,7 @@ from functools import cache, cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .elementary import DEFAULT_CANDIDATE_CAP
-from .gnba import Gnba, Nba, build_family
+from .gnba import Gnba, LazyFamily, Nba, checked_closure
 from .letters import Letter, restrict_letter
 from .search import accepting_cycle_reachable, first_accepting_lasso
 from .semantics import LassoWord, eval_lasso, lasso
@@ -174,61 +174,132 @@ def parse_model(document: str) -> TransitionModel:
 Witness = tuple[tuple[str, ...], tuple[str, ...]]
 
 
+def _letter_ids(letters: Iterable[Letter]) -> tuple[list[int], dict[Letter, int]]:
+    """The id of each of `letters`, numbered in order of first
+    appearance, and the id of each distinct letter."""
+    ids: dict[Letter, int] = {}
+    emitted = [ids.setdefault(letter, len(ids)) for letter in letters]
+    return emitted, ids
+
+
+class _Lookup:
+    """An eager `Gnba` or `Nba` read the way `_product` reads an
+    automaton, and the way `LazyFamily` answers: `roots(l)`,
+    `targets(q, l)`, `marks[q]`, `all_marks` and `nletters`, for the
+    letters numbered by `ids`."""
+
+    __slots__ = ("_patterns", "_succ", "_initial", "nletters", "marks", "all_marks")
+
+    def __init__(self, automaton: Union[Gnba, Nba], ids: Mapping[Letter, int]):
+        self._patterns = [ids.get(p, -1) for p in automaton.patterns]
+        self._succ = automaton.succ
+        self._initial = automaton.initial
+        self.nletters = len(ids)
+        self.marks = [0] * len(self._patterns)
+        for i, members in enumerate(automaton.acceptance):
+            for q in members:
+                self.marks[q] |= 1 << i
+        self.all_marks = (1 << len(automaton.acceptance)) - 1
+
+    def roots(self, letter: int) -> list[int]:
+        patterns = self._patterns
+        return [q for q in sorted(self._initial) if patterns[q] == letter]
+
+    def targets(self, q: int, letter: int) -> list[int]:
+        patterns = self._patterns
+        return [q2 for q2 in self._succ[q] if patterns[q2] == letter]
+
+
 def _product(
-    automaton: Union[Gnba, Nba],
-    letters: Iterable[Letter],
+    automaton: Union[_Lookup, LazyFamily],
+    roots: Sequence[int],
+    emitted: Sequence[int],
     adjacency: Sequence[Sequence[int]],
     start: int,
 ):
     """The synchronous product of a letter-labelled graph with the automaton.
 
-    Graph node s carries the s-th of `letters` (restricted to the closure
-    atoms) and steps to `adjacency[s]`.  Product node s * nq + q pairs
-    graph node s with automaton state q.  A node is generated only when
-    q's pattern equals the letter of s, since any other node can never
-    move; the successors of q that can read a letter are listed once per
-    (q, letter).  Returns `(roots, out_edges, marks, all_marks)`, the
-    arguments of `accepting_cycle_reachable`, with one mark per
-    acceptance set.
+    Graph node s carries letter id `emitted[s]` and steps to
+    `adjacency[s]`.  Product node q * n + s pairs automaton state q with
+    graph node s, where n is the number of graph nodes, so the automaton
+    may grow during the search.  The automaton is read through
+    `targets(q, l)`, the successors of q whose pattern is letter l,
+    asked once per (q, l), so a node is generated only when q's pattern
+    equals the letter of s: any other node can never move.  `roots` are
+    the automaton states paired with graph node `start`.  Returns
+    `(roots, out_edges, marks, all_marks)`, the arguments of
+    `accepting_cycle_reachable`, with one mark per acceptance set.
     """
-    letter_ids: dict[Letter, int] = {}
-    emitted = [letter_ids.setdefault(letter, len(letter_ids)) for letter in letters]
-    patterns = [letter_ids.get(p, -1) for p in automaton.patterns]
-    succ = automaton.succ
-    nq = len(patterns)
-    nletters = len(letter_ids)
-
-    # Successors of automaton state q that can read letter l, by q * nletters + l.
+    n = len(adjacency)
+    nletters = automaton.nletters
+    targets = automaton.targets
+    state_marks = automaton.marks
+    # `targets(q, l)` by q * nletters + l.
     live: dict[int, list[int]] = {}
 
     def out_edges(node: int) -> list[int]:
-        s, q = divmod(node, nq)
+        q, s = divmod(node, n)
         out: list[int] = []
         for s2 in adjacency[s]:
             letter = emitted[s2]
             key = q * nletters + letter
-            targets = live.get(key)
-            if targets is None:
-                targets = live[key] = [q2 for q2 in succ[q] if patterns[q2] == letter]
-            base = s2 * nq
-            out += [base + q2 for q2 in targets]
+            found = live.get(key)
+            if found is None:
+                found = live[key] = targets(q, letter)
+            out += [q2 * n + s2 for q2 in found]
         return out
 
-    state_marks = [0] * nq
-    for i, members in enumerate(automaton.acceptance):
-        for q in members:
-            state_marks[q] |= 1 << i
-
-    roots = [
-        start * nq + q
-        for q in sorted(automaton.initial)
-        if patterns[q] == emitted[start]
-    ]
     return (
-        roots,
+        [q * n + start for q in roots],
         out_edges,
-        lambda node: state_marks[node % nq],
-        (1 << len(automaton.acceptance)) - 1,
+        lambda node: state_marks[node // n],
+        automaton.all_marks,
+    )
+
+
+def _model_witness(
+    model: TransitionModel,
+    emitted: Sequence[int],
+    automaton: Union[_Lookup, LazyFamily],
+    initial: Sequence[int],
+) -> Optional[Witness]:
+    """The witness of `product_nonempty` for a model whose states carry
+    letter ids `emitted`, from the automaton states `initial` paired
+    with the model's initial state."""
+    roots, out_edges, marks, all_marks = _product(
+        automaton,
+        initial,
+        emitted,
+        model.adjacency,
+        model.position[model.initial],
+    )
+    if not accepting_cycle_reachable(roots, out_edges, marks, all_marks):
+        return None
+
+    # Counter product: node * k + c owes acceptance set c next.  Each
+    # pair is expanded once for all its counter values.
+    k = all_marks.bit_length()
+    pair_edges = cache(out_edges)
+
+    def counter_out_edges(node: int) -> list[int]:
+        pair, owed = divmod(node, k)
+        if marks(pair) >> owed & 1:
+            owed = (owed + 1) % k
+        return [target * k + owed for target in pair_edges(pair)]
+
+    found = first_accepting_lasso(
+        [root * k for root in roots],
+        counter_out_edges,
+        lambda node: node % k == 0 and marks(node // k) & 1 == 1,
+    )
+    if found is None:
+        raise RuntimeError("internal error: non-empty product without a witness")
+    stem, loop = found
+    names = model.states
+    n = len(names)
+    return (
+        tuple(names[node // k % n] for node in stem),
+        tuple(names[node // k % n] for node in loop),
     )
 
 
@@ -250,40 +321,10 @@ def product_nonempty(
     breadth-first stem and closed by its shortest loop.
     """
     atoms = automaton.closure.atoms
-    roots, out_edges, marks, all_marks = _product(
-        automaton,
-        (letter_of(model, s, atoms) for s in model.states),
-        model.adjacency,
-        model.position[model.initial],
-    )
-    if not accepting_cycle_reachable(roots, out_edges, marks, all_marks):
-        return None
-
-    # Counter product: node * k + c owes acceptance set c next.  Each
-    # pair is expanded once for all its counter values.
-    k = len(automaton.acceptance)
-    pair_edges = cache(out_edges)
-
-    def counter_out_edges(node: int) -> list[int]:
-        pair, owed = divmod(node, k)
-        if marks(pair) >> owed & 1:
-            owed = (owed + 1) % k
-        return [target * k + owed for target in pair_edges(pair)]
-
-    found = first_accepting_lasso(
-        [root * k for root in roots],
-        counter_out_edges,
-        lambda node: node % k == 0 and marks(node // k) & 1 == 1,
-    )
-    if found is None:
-        raise RuntimeError("internal error: non-empty product without a witness")
-    stem, loop = found
-    nq = len(automaton.patterns)
-    names = model.states
-    return (
-        tuple(names[node // k // nq] for node in stem),
-        tuple(names[node // k // nq] for node in loop),
-    )
+    emitted, ids = _letter_ids(letter_of(model, s, atoms) for s in model.states)
+    lookup = _Lookup(automaton, ids)
+    roots = lookup.roots(emitted[model.position[model.initial]])
+    return _model_witness(model, emitted, lookup, roots)
 
 
 def nba_accepts_lasso(automaton: Union[Gnba, Nba], word: LassoWord) -> bool:
@@ -294,13 +335,15 @@ def nba_accepts_lasso(automaton: Union[Gnba, Nba], word: LassoWord) -> bool:
     positions as the graph (wrap-around at the end of the loop).
     """
     atoms = set(automaton.closure.atoms)
+    emitted, ids = _letter_ids(
+        restrict_letter(letter, atoms) for letter in word.letters
+    )
+    lookup = _Lookup(automaton, ids)
+    # Position i steps to i + 1, the last position back to the loop start.
+    positions = [(i,) for i in range(1, len(emitted))]
+    positions.append((len(word.stem),))
     return accepting_cycle_reachable(
-        *_product(
-            automaton,
-            (restrict_letter(letter, atoms) for letter in word.letters),
-            [(word.successor(i),) for i in range(word.length)],
-            0,
-        )
+        *_product(lookup, lookup.roots(emitted[0]), emitted, positions, 0)
     )
 
 
@@ -332,15 +375,23 @@ def check_model(
 
     Checks the falsifying automaton first, then the unknown one; every
     returned witness is re-evaluated by the lasso oracle before it is
-    reported.
+    reported.  The automata are a `LazyFamily` shared by both searches,
+    so only states whose pattern is the letter of some model state are
+    built; the verdict and witness are those `product_nonempty` gives
+    on the automata of `build_family`.
     """
     if alphabet is None:
         alphabet = tuple(sorted(atoms_of(psi) | model.label_atoms()))
     else:
         alphabet = tuple(alphabet)
-    family = build_family(psi, alphabet, cap)
+    closure = checked_closure(psi, alphabet, cap)
+    emitted, ids = _letter_ids(
+        letter_of(model, s, closure.atoms) for s in model.states
+    )
+    family = LazyFamily(closure, list(ids))
+    start = emitted[model.position[model.initial]]
     for value in (Truth.FALSE, Truth.UNKNOWN):
-        witness = product_nonempty(model, family[value])
+        witness = _model_witness(model, emitted, family, family.roots(value, start))
         if witness is not None:
             word = induced_word(model, witness, alphabet)
             confirmed = eval_lasso(psi, word)

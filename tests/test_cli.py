@@ -1,6 +1,6 @@
 import pytest
 
-from triltl import MAX_NESTING, Truth, modelcheck, read_hoa
+from triltl import MAX_NESTING, Truth, elementary, gnba, modelcheck, read_hoa
 from triltl.cli import main
 from helpers import model_doc, validate_dot
 
@@ -162,6 +162,36 @@ class TestCheck:
         code, stdout, _ = run(capsys, "check", "--model", str(path), "--formula", "G a")
         assert code == 0
         assert stdout == "FALSE\ns0 ; s1 s1\n"
+
+    def test_state_cap_refused_before_enumeration(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "m.json"
+        path.write_text(model_doc(["s0"], "s0", [["s0", "s0"]], {"s0": {"a": "t"}}))
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("enumerated before the cap check")
+
+        monkeypatch.setattr(elementary, "enumerate_states", refuse)
+        monkeypatch.setattr(gnba, "enumerate_states", refuse)
+        code, stdout, stderr = run(
+            capsys,
+            "check", "--model", str(path), "--formula", "a U b", "--state-cap", "8",
+        )
+        assert code == 3
+        assert stdout == ""
+        assert stderr == (
+            "error: state-space limit exceeded: 3^3 = 27 candidate sets, cap is 8\n"
+        )
+
+    def test_formula_atom_outside_alphabet(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(model_doc(["s0"], "s0", [["s0", "s0"]], {"s0": {"b": "t"}}))
+        code, stdout, stderr = run(
+            capsys,
+            "check", "--model", str(path), "--formula", "a", "--alphabet", "b",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "error: formula atom 'a' is not in the alphabet\n"
 
     def test_malformed_model(self, capsys, tmp_path):
         path = tmp_path / "m.json"

@@ -21,7 +21,8 @@ from triltl import (
     state_pattern,
     successors,
 )
-from triltl.gnba import build_family
+from triltl.gnba import LazyFamily, build_family
+from triltl.letters import all_letters
 from helpers import CORPUS, gnba_accepts_lasso, vec_of
 
 A = Atom("a")
@@ -179,6 +180,48 @@ class TestSuccessors:
         ]
         for value in Truth:
             assert list(family[value].succ) == expected
+
+
+class TestLazyFamily:
+    """The lazy automata list, for each letter, exactly the eager
+    automata's states of that pattern, in the same order."""
+
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_lists_equal_the_pattern_filtered_eager_lists(self, text):
+        psi = parse_core(text)
+        family = build_family(psi, ("a", "b"))
+        eager = family[Truth.TRUE]
+        eager_id = {vec: q for q, vec in enumerate(eager.states)}
+        letters = all_letters(eager.closure.atoms)
+        lazy = LazyFamily(eager.closure, letters)
+
+        def as_eager(ids):
+            vec_of = {sid: vec for vec, sid in lazy._ids.items()}
+            return [eager_id[vec_of[sid]] for sid in ids]
+
+        def filtered(ids, letter):
+            return [q for q in ids if eager.patterns[q] == letter]
+
+        todo = []
+        for value in Truth:
+            for l, letter in enumerate(letters):
+                roots = lazy.roots(value, l)
+                assert as_eager(roots) == filtered(sorted(family[value].initial), letter)
+                todo += roots
+        seen = set(todo)
+        while todo:
+            q = todo.pop()
+            (source,) = as_eager([q])
+            assert lazy.marks[q] == sum(
+                1 << k for k, members in enumerate(eager.acceptance) if source in members
+            )
+            for l, letter in enumerate(letters):
+                targets = lazy.targets(q, l)
+                assert as_eager(targets) == filtered(eager.succ[source], letter)
+                todo += [t for t in targets if t not in seen]
+                seen.update(targets)
+        assert lazy.all_marks == (1 << len(eager.acceptance)) - 1
+        assert len(lazy.marks) == len(seen)
 
 
 class TestExtraAlphabetAtoms:

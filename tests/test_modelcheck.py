@@ -5,6 +5,8 @@ import pytest
 from triltl import (
     ModelFormatError,
     Truth,
+    Verdict,
+    atoms_of,
     build_automaton,
     build_family,
     check_model,
@@ -15,6 +17,7 @@ from triltl import (
     parse_model,
     product_nonempty,
 )
+from triltl import gnba
 from triltl.modelcheck import induced_word
 from helpers import CORPUS, model_doc, reference_product_nonempty
 
@@ -258,6 +261,43 @@ class TestCheckModel:
         first = check_model(TWO_STATE, parse_core("G a"))
         second = check_model(TWO_STATE, parse_core("G a"))
         assert first == second
+
+
+class TestLazyCheck:
+    """check_model builds its automata lazily, yet gives the verdict and
+    witness of product_nonempty on the eagerly built automata."""
+
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_same_verdict_and_witness_as_the_eager_automata(self, text):
+        psi = parse_core(text)
+        for model in SMALL_MODELS:
+            alphabet = tuple(sorted(atoms_of(psi) | model.label_atoms()))
+            family = build_family(psi, alphabet)
+            expected = Verdict(Truth.TRUE)
+            for value in (Truth.FALSE, Truth.UNKNOWN):
+                witness = product_nonempty(model, family[value])
+                if witness is not None:
+                    expected = Verdict(value, witness)
+                    break
+            assert check_model(model, psi) == expected
+
+    def test_no_full_construction(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("full automaton built")
+
+        monkeypatch.setattr(gnba, "build_family", refuse)
+        monkeypatch.setattr(gnba, "_CoreAutomaton", refuse)
+        monkeypatch.setattr(gnba, "acceptance_sets", refuse)
+        assert check_model(TWO_STATE, parse_core("G a")) == Verdict(
+            Truth.FALSE, (("s0",), ("s1", "s1"))
+        )
+        assert check_model(self_loop({"a": "t"}), parse_core("G a")) == Verdict(
+            Truth.TRUE
+        )
+
+    def test_duplicate_alphabet_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            check_model(TWO_STATE, parse_core("G a"), ["a", "a"])
 
 
 def _model_lassos(model, max_stem, max_loop):
