@@ -89,11 +89,7 @@ def _run_check(args: argparse.Namespace) -> int:
         raise UsageError(f"cannot read model: {exc}") from None
     model = parse_model(document)
     psi = parse_core(args.formula)
-    alphabet = (
-        _parse_alphabet(args.alphabet)
-        if args.alphabet is not None
-        else tuple(sorted(atoms_of(psi) | model.label_atoms()))
-    )
+    alphabet = None if args.alphabet is None else _parse_alphabet(args.alphabet)
     result = check_model(model, psi, alphabet, cap=_check_cap(args.state_cap))
     print(result.value.token)
     if result.witness is not None:

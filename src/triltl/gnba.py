@@ -6,11 +6,16 @@ selects the initial states and nothing else.  Transitions are guarded
 by the state's own literal pattern: a state can only read letters that
 agree with it on the atoms the closure mentions, while atoms outside
 the closure are unconstrained.
+
+One engine, `LazyFamily`, builds states and successor lists when they
+are asked for: `check_model` reads it letter by letter, and
+`build_family` and `build_automaton` read it in full.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .elementary import (
@@ -30,6 +35,10 @@ from .syntax import Closure, Formula, atoms_of, closure_of
 from .truth import Truth
 
 _ALL_MARKS = frozenset((ABSENT, POS, NEG))
+#: Every set of marks, once, so that linkage masks share their entries.
+_MARK_SETS = {
+    s: s for r in range(4) for s in map(frozenset, combinations(_ALL_MARKS, r))
+}
 
 
 def state_pattern(vec: Sequence[int], closure: Closure) -> Letter:
@@ -52,7 +61,7 @@ def _successor_allowed(
 
     def restrict(i: int, marks: frozenset[int]) -> bool:
         current = allowed[i]
-        marks = marks if current is None else (current & marks)
+        marks = _MARK_SETS[marks if current is None else (current & marks)]
         allowed[i] = marks
         return bool(marks)
 
@@ -212,87 +221,15 @@ def checked_closure(psi: Formula, alphabet: tuple[str, ...], cap: int) -> Closur
     return closure
 
 
-class _CoreAutomaton:
-    """The truth-value-independent part of the construction, so the
-    three automata of one formula can share everything but Q0.
-
-    Successor sets are enumerated once per distinct linkage mask.  This
-    is sound because `enumerate_states(closure, allowed)` reads nothing
-    of the source state but the mask `_successor_allowed` derives from
-    it, so two sources with equal masks have equal successor lists, in
-    the same order.  Sources whose masks are equal share one id tuple.
-    """
-
-    def __init__(self, psi: Formula, alphabet: Sequence[str], cap: int):
-        self.alphabet = tuple(alphabet)
-        self.closure = checked_closure(psi, self.alphabet, cap)
-        self.states = tuple(enumerate_states(self.closure))
-        state_ids = {vec: sid for sid, vec in enumerate(self.states)}
-        self.patterns = tuple(
-            state_pattern(vec, self.closure) for vec in self.states
-        )
-        succ = []
-        by_mask: dict[tuple[Optional[frozenset[int]], ...], tuple[int, ...]] = {}
-        for vec in self.states:
-            allowed = _successor_allowed(vec, self.closure)
-            if allowed is None:
-                succ.append(())
-                continue
-            mask = tuple(allowed)
-            ids = by_mask.get(mask)
-            if ids is None:
-                ids = tuple(
-                    state_ids[nxt] for nxt in enumerate_states(self.closure, allowed)
-                )
-                by_mask[mask] = ids
-            succ.append(ids)
-        self.succ = tuple(succ)
-        self.acceptance = tuple(acceptance_sets(self.states, self.closure))
-
-    def with_value(self, value: Truth) -> Gnba:
-        return Gnba(
-            closure=self.closure,
-            alphabet=self.alphabet,
-            states=self.states,
-            initial=_initial_ids(self.states, self.closure, value),
-            patterns=self.patterns,
-            succ=self.succ,
-            acceptance=self.acceptance,
-        )
-
-
-def build_automaton(
-    psi: Formula,
-    alphabet: Sequence[str],
-    value: Truth,
-    cap: int = DEFAULT_CANDIDATE_CAP,
-) -> Gnba:
-    """Build the generalized automaton accepting exactly the words that
-    give `psi` the truth value `value`.
-
-    `psi` must be a canonical core formula whose atoms all appear in
-    `alphabet`.  Raises UnknownAtomError otherwise, and
-    StateSpaceLimitError when the closure is too large for `cap`.
-    """
-    return _CoreAutomaton(psi, alphabet, cap).with_value(value)
-
-
-def build_family(
-    psi: Formula, alphabet: Sequence[str], cap: int = DEFAULT_CANDIDATE_CAP
-) -> dict[Truth, Gnba]:
-    """All three automata of a formula, sharing states and transitions."""
-    core = _CoreAutomaton(psi, alphabet, cap)
-    return {value: core.with_value(value) for value in Truth}
-
-
 #: Marks each coordinate may take, None where any mark may (see
-#: `enumerate_states`).
+#: `enumerate_states`); a `Mask` is the same, frozen.
 Allowed = list[Optional[frozenset[int]]]
+Mask = tuple[Optional[frozenset[int]], ...]
 
 _ONLY = {mark: frozenset((mark,)) for mark in (ABSENT, POS, NEG)}
 
 
-def _pin(allowed: Allowed, pins: Sequence[tuple[int, int]]) -> Optional[Allowed]:
+def _pin(allowed: Allowed | Mask, pins: Sequence[tuple[int, int]]) -> Optional[Allowed]:
     """`allowed` with each coordinate of `pins` held to its mark, or None
     when some coordinate may not take that mark."""
     out = list(allowed)
@@ -316,22 +253,28 @@ class LazyFamily:
     `build_family` numbers them in.  So `roots(value, l)` lists the
     initial states of the automaton for `value` whose pattern is l, and
     `targets(q, l)` the successors of q whose pattern is l, in the same
-    relative order as the eager automaton.  State ids are handed out on
+    relative order as the eager automaton.  A letter given as None pins
+    no atom, so it reads the whole family.  State ids are handed out on
     discovery; `marks[q]` is q's acceptance bitmask, bit k for set k of
-    `acceptance_sets`, computed once.  Successor lists are shared by
-    (linkage mask, letter), as `_CoreAutomaton` shares them by mask.
+    `acceptance_sets`, computed once.
+
+    Successor lists are shared by (linkage mask, letter).  This is sound
+    because `enumerate_states(closure, allowed)` reads nothing of the
+    source state but the mask `_successor_allowed` derives from it, so
+    sources with equal masks have equal successor lists, in one order.
     """
 
-    def __init__(self, closure: Closure, letters: Sequence[Letter]):
+    def __init__(self, closure: Closure, letters: Sequence[Optional[Letter]]):
         self.closure = closure
         # The (atom coordinate, mark) pairs of each letter.
         self._pins: list[list[tuple[int, int]]] = []
         for letter in letters:
-            value = dict(letter)
+            value = dict(letter or ())
+            coords = () if letter is None else closure.atom_coords
             self._pins.append(
                 [
                     (i, ABSENT if name not in value else POS if value[name] else NEG)
-                    for i, name in closure.atom_coords
+                    for i, name in coords
                 ]
             )
         self.nletters = len(letters)
@@ -339,14 +282,16 @@ class LazyFamily:
         self.all_marks = (1 << (len(closure.untils) + 1)) - 1
         self._ids: dict[StateVec, int] = {}
         self._mask_of: list[int] = []
-        self._mask_ids: dict[Optional[tuple[Optional[frozenset[int]], ...]], int] = {}
-        self._masks: list[Optional[Allowed]] = []
-        self._targets: dict[int, list[int]] = {}
+        # Each distinct linkage mask is stored once, as a key of
+        # `_mask_ids` and as the entry of `_masks` at its id.
+        self._mask_ids: dict[Optional[Mask], int] = {}
+        self._masks: list[Optional[Mask]] = []
+        self._targets: dict[int, tuple[int, ...]] = {}
 
-    def _ids_of(self, allowed: Optional[Allowed]) -> list[int]:
+    def _ids_of(self, allowed: Optional[Allowed]) -> tuple[int, ...]:
         """Ids of the states `allowed` admits, in enumeration order."""
         if allowed is None:
-            return []
+            return ()
         out = []
         closure = self.closure
         for vec in enumerate_states(closure, allowed):
@@ -358,20 +303,20 @@ class LazyFamily:
                 mask_id = self._mask_ids.get(mask)
                 if mask_id is None:
                     mask_id = self._mask_ids[mask] = len(self._masks)
-                    self._masks.append(successor)
+                    self._masks.append(mask)
                 self._mask_of.append(mask_id)
                 self.marks.append(_acceptance_mask(vec, closure))
             out.append(sid)
-        return out
+        return tuple(out)
 
-    def roots(self, value: Truth, letter: int) -> list[int]:
+    def roots(self, value: Truth, letter: int) -> tuple[int, ...]:
         """Initial states of the automaton for `value` with pattern `letter`."""
         idx, wanted = _initial_mark(self.closure, value)
         allowed: Allowed = [None] * len(self.closure.bases)
         allowed[idx] = _ONLY[wanted]
         return self._ids_of(_pin(allowed, self._pins[letter]))
 
-    def targets(self, q: int, letter: int) -> list[int]:
+    def targets(self, q: int, letter: int) -> tuple[int, ...]:
         """Successors of state q with pattern `letter`."""
         mask_id = self._mask_of[q]
         key = mask_id * self.nletters + letter
@@ -382,6 +327,61 @@ class LazyFamily:
                 allowed = _pin(allowed, self._pins[letter])
             found = self._targets[key] = self._ids_of(allowed)
         return found
+
+
+def _read_in_full(
+    psi: Formula, alphabet: Sequence[str], cap: int, values: Sequence[Truth]
+) -> dict[Truth, Gnba]:
+    """The automata of `psi` for `values`: a `LazyFamily` read in full
+    through one letter that pins no atom.  Reading every state first
+    numbers the states in lexicographic order."""
+    alphabet = tuple(alphabet)
+    closure = checked_closure(psi, alphabet, cap)
+    family = LazyFamily(closure, [None])
+    family._ids_of([None] * len(closure.bases))
+    states = tuple(family._ids)
+    marks = family.marks
+    patterns = tuple(state_pattern(vec, closure) for vec in states)
+    succ = tuple(family.targets(q, 0) for q in range(len(states)))
+    acceptance = tuple(
+        frozenset(q for q, mark in enumerate(marks) if mark >> k & 1)
+        for k in range(len(closure.untils) + 1)
+    )
+    return {
+        value: Gnba(
+            closure=closure,
+            alphabet=alphabet,
+            states=states,
+            initial=_initial_ids(states, closure, value),
+            patterns=patterns,
+            succ=succ,
+            acceptance=acceptance,
+        )
+        for value in values
+    }
+
+
+def build_automaton(
+    psi: Formula,
+    alphabet: Sequence[str],
+    value: Truth,
+    cap: int = DEFAULT_CANDIDATE_CAP,
+) -> Gnba:
+    """Build the generalized automaton accepting exactly the words that
+    give `psi` the truth value `value`.
+
+    `psi` must be a canonical core formula whose atoms all appear in
+    `alphabet`.  Raises UnknownAtomError otherwise, and
+    StateSpaceLimitError when the closure is too large for `cap`.
+    """
+    return _read_in_full(psi, alphabet, cap, (value,))[value]
+
+
+def build_family(
+    psi: Formula, alphabet: Sequence[str], cap: int = DEFAULT_CANDIDATE_CAP
+) -> dict[Truth, Gnba]:
+    """All three automata of a formula, sharing states and transitions."""
+    return _read_in_full(psi, alphabet, cap, tuple(Truth))
 
 
 @dataclass(frozen=True)

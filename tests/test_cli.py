@@ -1,5 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import triltl
 from triltl import MAX_NESTING, Truth, elementary, gnba, modelcheck, read_hoa
 from triltl.cli import main
 from helpers import model_doc, validate_dot
@@ -162,6 +170,57 @@ class TestCheck:
         code, stdout, _ = run(capsys, "check", "--model", str(path), "--formula", "G a")
         assert code == 0
         assert stdout == "FALSE\ns0 ; s1 s1\n"
+
+    def test_invariants_hold_under_python_O(self, tmp_path):
+        """`python -O` drops asserts: the sample still prints its witness,
+        and a witness the lasso oracle disagrees with still raises."""
+        path = tmp_path / "m.json"
+        path.write_text(
+            model_doc(
+                ["s0", "s1"],
+                "s0",
+                [["s0", "s1"], ["s1", "s1"]],
+                {"s0": {"a": "t"}, "s1": {"a": "f"}},
+            )
+        )
+        script = textwrap.dedent(
+            """
+            import contextlib, io, json, runpy, sys
+            path = sys.argv[1]
+            sys.argv = ["triltl", "check", "--model", path, "--formula", "G a"]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                try:
+                    runpy.run_module("triltl.cli", run_name="__main__")
+                except SystemExit as exc:
+                    code = exc.code
+            from triltl import Truth, modelcheck, parse_core, parse_model
+            modelcheck.eval_lasso = lambda psi, word: Truth.TRUE
+            try:
+                with open(path, encoding="utf-8") as handle:
+                    model = parse_model(handle.read())
+                modelcheck.check_model(model, parse_core("G a"))
+                raised = None
+            except RuntimeError as exc:
+                raised = str(exc)
+            print(json.dumps([__debug__, code, out.getvalue(), raised]))
+            """
+        )
+        src = str(Path(triltl.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script, str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        debug, code, stdout, raised = json.loads(done.stdout)
+        assert debug is False
+        assert code == 0
+        assert stdout == "FALSE\ns0 ; s1 s1\n"
+        assert raised == (
+            "internal error: witness evaluates to Truth.TRUE, expected Truth.FALSE"
+        )
 
     def test_state_cap_refused_before_enumeration(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "m.json"

@@ -180,6 +180,9 @@ class TestSuccessors:
         ]
         for value in Truth:
             assert list(family[value].succ) == expected
+            assert family[value].acceptance == tuple(
+                acceptance_sets(g.states, g.closure)
+            )
 
 
 class TestLazyFamily:

@@ -17,7 +17,7 @@ from triltl import (
     parse_model,
     product_nonempty,
 )
-from triltl import gnba
+from triltl import gnba, modelcheck
 from triltl.modelcheck import induced_word
 from helpers import CORPUS, model_doc, reference_product_nonempty
 
@@ -95,8 +95,18 @@ class TestParseModel:
              "in edge"),
             (model_doc(["s0"], "s0", [["s0", "s0"]], {"s0": {"a": ["t"]}}),
              "bad value"),
+            (model_doc(["s0"], "s0", [["s0", "s0"]], {"s0": ["a"]}),
+             "labels of 's0' must be an object"),
+            (model_doc(["s0"], "s0", [["s0", "s0"]], []),
+             '"labels" must be an object'),
         ],
-        ids=["list-initial", "list-edge-endpoint", "list-label-value"],
+        ids=[
+            "list-initial",
+            "list-edge-endpoint",
+            "list-label-value",
+            "list-state-labels",
+            "list-labels",
+        ],
     )
     def test_wrong_json_shape(self, document, message):
         with pytest.raises(ModelFormatError, match=message):
@@ -285,15 +295,26 @@ class TestLazyCheck:
         def refuse(*args, **kwargs):
             raise RuntimeError("full automaton built")
 
+        families = []
+
+        class Recorded(gnba.LazyFamily):
+            def __init__(self, *args):
+                super().__init__(*args)
+                families.append(self)
+
+        psi = parse_core("G a")
+        full = len(build_family(psi, ("a",))[Truth.TRUE].states)
+        monkeypatch.setattr(modelcheck, "LazyFamily", Recorded)
         monkeypatch.setattr(gnba, "build_family", refuse)
-        monkeypatch.setattr(gnba, "_CoreAutomaton", refuse)
         monkeypatch.setattr(gnba, "acceptance_sets", refuse)
-        assert check_model(TWO_STATE, parse_core("G a")) == Verdict(
+        assert check_model(TWO_STATE, psi) == Verdict(
             Truth.FALSE, (("s0",), ("s1", "s1"))
         )
-        assert check_model(self_loop({"a": "t"}), parse_core("G a")) == Verdict(
-            Truth.TRUE
-        )
+        # The model emits a and !a but never leaves a unknown, so the
+        # states whose pattern leaves a absent are never built.
+        (family,) = families
+        assert 0 < len(family.marks) < full
+        assert check_model(self_loop({"a": "t"}), psi) == Verdict(Truth.TRUE)
 
     def test_duplicate_alphabet_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
