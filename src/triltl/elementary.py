@@ -9,6 +9,8 @@ until.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import product
 from typing import Optional, Sequence
 
 from .syntax import Closure, Formula, negated
@@ -16,6 +18,9 @@ from .syntax import Closure, Formula, negated
 ABSENT = 0
 POS = 1
 NEG = 2
+MARKS = (ABSENT, POS, NEG)
+#: Bit set of marks a coordinate may take, bit m for mark m: every mark.
+ANY = 0b111
 
 #: Assignment vector, one mark per closure base, in base order.
 StateVec = tuple[int, ...]
@@ -28,125 +33,124 @@ class StateSpaceLimitError(RuntimeError):
     """Raised when the candidate state space exceeds the configured cap."""
 
 
-def member(vec: Sequence[int], ref: tuple[int, bool]) -> bool:
-    """Is the referenced formula present (positively) in the set?"""
-    idx, positive = ref
-    return vec[idx] == (POS if positive else NEG)
+def signed(mark: int, positive: bool) -> int:
+    """The mark of a referenced formula, given the mark of its base: a
+    negative reference swaps present-positively and present-negatively."""
+    return mark if positive or mark == ABSENT else POS + NEG - mark
 
 
-def member_negated(vec: Sequence[int], ref: tuple[int, bool]) -> bool:
-    """Is the negation of the referenced formula present in the set?"""
-    idx, positive = ref
-    return vec[idx] == (NEG if positive else POS)
+# The local rules, over the marks of a base and of its operands as
+# referenced.  Consistency checks and enumeration tables both read them.
+
+
+def _and_holds(c: int, l: int, r: int) -> bool:
+    """c = l & r is present positively iff both operands are, and
+    negatively iff some operand is present negatively."""
+    return (c == POS) == (l == POS and r == POS) and (c == NEG) == (NEG in (l, r))
+
+
+def _until_holds(u: int, l: int, r: int) -> bool:
+    """For u = l U r: r present forces u present; u present negatively
+    forces r present negatively; u present without r forces l present;
+    and l, r both present negatively force u present negatively."""
+    return (
+        (r != POS or u == POS)
+        and (u != NEG or r == NEG)
+        and (u != POS or r == POS or l == POS)
+        and (l != NEG or r != NEG or u == NEG)
+    )
 
 
 def is_consistent(vec: Sequence[int], closure: Closure) -> bool:
-    """Propositional consistency over the conjunctions of the closure.
-
-    For every conjunction base c = l & r: c is present positively iff
-    both operands are, and negatively iff some operand is present
-    negatively.  The constant true, when present in the closure, must be
-    marked positive.
-    """
+    """Propositional consistency: every conjunction base obeys
+    `_and_holds`, and the constant true, when present in the closure, is
+    marked positive."""
     if closure.true_index is not None and vec[closure.true_index] != POS:
         return False
-    for i, lref, rref in closure.conjunctions:
-        if (vec[i] == POS) != (member(vec, lref) and member(vec, rref)):
-            return False
-        if (vec[i] == NEG) != (member_negated(vec, lref) or member_negated(vec, rref)):
-            return False
-    return True
+    return all(
+        _and_holds(vec[i], signed(vec[l], lpos), signed(vec[r], rpos))
+        for i, (l, lpos), (r, rpos) in closure.conjunctions
+    )
 
 
 def is_locally_consistent(vec: Sequence[int], closure: Closure) -> bool:
-    """Local consistency with respect to until.
-
-    For every until base u = p U q: q present forces u present; u
-    present negatively forces q present negatively; u present without q
-    forces p present; and p, q both present negatively force u present
-    negatively.
-    """
-    for i, lref, rref in closure.untils:
-        if member(vec, rref) and vec[i] != POS:
-            return False
-        if vec[i] == NEG and not member_negated(vec, rref):
-            return False
-        if vec[i] == POS and not member(vec, rref) and not member(vec, lref):
-            return False
-        if member_negated(vec, lref) and member_negated(vec, rref) and vec[i] != NEG:
-            return False
-    return True
+    """Local consistency: every until base obeys `_until_holds`."""
+    return all(
+        _until_holds(vec[i], signed(vec[l], lpos), signed(vec[r], rpos))
+        for i, (l, lpos), (r, rpos) in closure.untils
+    )
 
 
-def _until_choices(vec: Sequence[int], lref, rref) -> tuple[int, ...]:
-    """Marks an until base may take, given its operands' marks."""
-    if member(vec, rref):
-        return (POS,)
-    if member_negated(vec, lref) and member_negated(vec, rref):
-        return (NEG,)
-    choices = [ABSENT]
-    if member(vec, lref):
-        choices.append(POS)
-    if member_negated(vec, rref):
-        choices.append(NEG)
-    return tuple(choices)
+#: Suffixes a prefix may be extended by, per allowed-mark bit set.
+_Choices = tuple[StateVec, ...]
+
+_FREE: tuple[_Choices, ...] = tuple(
+    tuple((m,) for m in MARKS if allowed >> m & 1) for allowed in range(ANY + 1)
+)
+_TRUE: tuple[_Choices, ...] = tuple(
+    ((POS,),) if allowed >> POS & 1 else () for allowed in range(ANY + 1)
+)
 
 
-def _conjunction_choice(vec: Sequence[int], lref, rref) -> int:
-    """The single mark a conjunction base is forced to take."""
-    if member(vec, lref) and member(vec, rref):
-        return POS
-    if member_negated(vec, lref) or member_negated(vec, rref):
-        return NEG
-    return ABSENT
+@cache
+def _operand_tables(rule, lpos: bool, rpos: bool) -> tuple[tuple[_Choices, ...], ...]:
+    """Per allowed-mark bit set, the marks `rule` lets a base take,
+    indexed by 3 * (left operand's base mark) + (right operand's)."""
+    return tuple(
+        tuple(
+            tuple(
+                (m,)
+                for m in MARKS
+                if allowed >> m & 1 and rule(m, signed(l, lpos), signed(r, rpos))
+            )
+            for l, r in product(MARKS, repeat=2)
+        )
+        for allowed in range(ANY + 1)
+    )
+
+
+class Tables:
+    """A closure compiled for enumeration: per base, the coordinates of
+    its operands (None for a base without) and its choice tables."""
+
+    __slots__ = ("levels",)
+
+    def __init__(self, closure: Closure):
+        levels = [(None, None, _FREE)] * len(closure.bases)
+        if closure.true_index is not None:
+            levels[closure.true_index] = (None, None, _TRUE)
+        rules = ((_and_holds, closure.conjunctions), (_until_holds, closure.untils))
+        for rule, compounds in rules:
+            for i, (l, lpos), (r, rpos) in compounds:
+                levels[i] = (l, r, _operand_tables(rule, lpos, rpos))
+        self.levels = tuple(levels)
+
+    def states(self, allowed: Optional[Sequence[int]] = None) -> list[StateVec]:
+        """All elementary sets, optionally restricted per coordinate.
+
+        `allowed[i]`, when given, is the bit set of marks coordinate i
+        may take (bit m for mark m, `ANY` for every mark).  Results come
+        out in lexicographic order of the assignment vector (absent <
+        positive < negative): bases are sorted so that operands precede
+        compounds, and each level extends the ordered prefixes of the
+        previous one in mark order.
+        """
+        prefixes: list[StateVec] = [()]
+        for i, (l, r, tables) in enumerate(self.levels):
+            table = tables[ANY if allowed is None else allowed[i]]
+            if l is None:
+                prefixes = [p + s for p in prefixes for s in table]
+            else:
+                prefixes = [p + s for p in prefixes for s in table[3 * p[l] + p[r]]]
+        return prefixes
 
 
 def enumerate_states(
-    closure: Closure, allowed: Optional[Sequence[Optional[frozenset[int]]]] = None
+    closure: Closure, allowed: Optional[Sequence[int]] = None
 ) -> list[StateVec]:
-    """All elementary sets, optionally restricted per coordinate.
-
-    `allowed[i]`, when not None, limits the marks coordinate i may take.
-    Results come out in lexicographic order of the assignment vector
-    (absent < positive < negative).  Bases are sorted so that operands
-    precede compounds, which lets consistency be enforced as each
-    coordinate is chosen.
-    """
-    n = len(closure.bases)
-    kinds: list[tuple] = [("free",)] * n
-    for i, lref, rref in closure.conjunctions:
-        kinds[i] = ("and", lref, rref)
-    for i, lref, rref in closure.untils:
-        kinds[i] = ("until", lref, rref)
-    if closure.true_index is not None:
-        kinds[closure.true_index] = ("true",)
-
-    out: list[StateVec] = []
-    vec = [ABSENT] * n
-
-    def descend(i: int) -> None:
-        if i == n:
-            out.append(tuple(vec))
-            return
-        kind = kinds[i]
-        tag = kind[0]
-        if tag == "free":
-            choices: tuple[int, ...] = (ABSENT, POS, NEG)
-        elif tag == "true":
-            choices = (POS,)
-        elif tag == "and":
-            choices = (_conjunction_choice(vec, kind[1], kind[2]),)
-        else:
-            choices = _until_choices(vec, kind[1], kind[2])
-        mask = None if allowed is None else allowed[i]
-        for value in choices:
-            if mask is None or value in mask:
-                vec[i] = value
-                descend(i + 1)
-        vec[i] = ABSENT
-
-    descend(0)
-    return out
+    """All elementary sets, optionally restricted per coordinate; see
+    `Tables.states`."""
+    return Tables(closure).states(allowed)
 
 
 def check_candidate_cap(closure: Closure, cap: int) -> None:
@@ -167,7 +171,7 @@ def enumerate_elementary(
     Raises StateSpaceLimitError when 3^(number of bases) exceeds `cap`.
     """
     check_candidate_cap(closure, cap)
-    return enumerate_states(closure)
+    return Tables(closure).states()
 
 
 def state_members(vec: Sequence[int], closure: Closure) -> tuple[Formula, ...]:

@@ -22,8 +22,23 @@ class HoaFormatError(ValueError):
     """Input is not in the emitted HOA dialect."""
 
 
-def _acceptance_indices(g: Gnba, sid: int) -> list[int]:
-    return [i for i, members in enumerate(g.acceptance) if sid in members]
+def _acceptance_texts(g: Gnba, sep: str) -> list[str]:
+    """Per state, the indices of the acceptance sets holding it, joined
+    by `sep`, from one pass over `g.acceptance`."""
+    masks = [0] * len(g.states)
+    for k, members in enumerate(g.acceptance):
+        for sid in members:
+            masks[sid] |= 1 << k
+    texts = {
+        mask: sep.join(str(k) for k in range(len(g.acceptance)) if mask >> k & 1)
+        for mask in set(masks)
+    }
+    return [texts[mask] for mask in masks]
+
+
+def _edge_block(head: str, ids: list[str], targets, tail: str = "") -> str:
+    """One line `head + target id + tail` per target, joined."""
+    return head + (tail + "\n" + head).join([ids[t] for t in targets]) + tail
 
 
 def to_dot(g: Gnba) -> str:
@@ -34,25 +49,25 @@ def to_dot(g: Gnba) -> str:
     filled yellow; each edge carries the source state's literal
     pattern.
     """
+    ids = [str(sid) for sid in range(len(g.states))]
+    acc = _acceptance_texts(g, ",")
+    letters = {pattern: format_letter(pattern) for pattern in set(g.patterns)}
     lines = [
         "digraph gnba {",
         "  rankdir=LR;",
         '  node [shape=circle, fontname="Helvetica"];',
     ]
-    for sid in range(len(g.states)):
-        label = g.state_label(sid)
-        acc = ",".join(str(i) for i in _acceptance_indices(g, sid))
-        attrs = [f'label="{label}\\nacc: {acc}"']
-        if sid in g.initial:
-            attrs.append("style=filled")
-            attrs.append("fillcolor=yellow")
-        lines.append(f"  {sid} [{', '.join(attrs)}];")
-    for sid in range(len(g.states)):
-        letter_text = format_letter(g.patterns[sid])
-        for target in g.succ[sid]:
-            lines.append(f'  {sid} -> {target} [label="{letter_text}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    for sid, name in enumerate(ids):
+        fill = ", style=filled, fillcolor=yellow" if sid in g.initial else ""
+        lines.append(f'  {name} [label="{g.state_label(sid)}\\nacc: {acc[sid]}"{fill}];')
+    for sid, name in enumerate(ids):
+        if g.succ[sid]:
+            tail = f' [label="{letters[g.patterns[sid]]}"];'
+            lines.append(_edge_block(f"  {name} -> ", ids, g.succ[sid], tail))
+    # The final newline ends the last line: adding it to the joined text
+    # would copy the whole document once more.
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def _edge_label(g: Gnba, pattern: Letter) -> str:
@@ -92,14 +107,15 @@ def to_hoa(g: Gnba) -> str:
     lines.append(f"Acceptance: {k} {'&'.join(f'Inf({i})' for i in range(k))}")
     lines.append("properties: trans-labels explicit-labels state-acc")
     lines.append("--BODY--")
-    for sid in range(len(g.states)):
-        acc = " ".join(str(i) for i in _acceptance_indices(g, sid))
-        lines.append(f'State: {sid} "{g.state_label(sid)}" {{{acc}}}')
-        label = _edge_label(g, g.patterns[sid])
-        for target in g.succ[sid]:
-            lines.append(f"[{label}] {target}")
-    lines.append("--END--")
-    return "\n".join(lines) + "\n"
+    ids = [str(sid) for sid in range(len(g.states))]
+    acc = _acceptance_texts(g, " ")
+    labels = {pattern: f"[{_edge_label(g, pattern)}] " for pattern in set(g.patterns)}
+    for sid, name in enumerate(ids):
+        lines.append(f'State: {name} "{g.state_label(sid)}" {{{acc[sid]}}}')
+        if g.succ[sid]:
+            lines.append(_edge_block(labels[g.patterns[sid]], ids, g.succ[sid]))
+    lines.append("--END--\n")
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)

@@ -15,96 +15,105 @@ are asked for: `check_model` reads it letter by letter, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import islice, product, repeat
 from typing import Optional, Sequence
 
 from .elementary import (
     ABSENT,
+    ANY,
     DEFAULT_CANDIDATE_CAP,
+    MARKS,
     NEG,
     POS,
     StateVec,
+    Tables,
     check_candidate_cap,
     enumerate_states,
     format_state,
-    member,
-    member_negated,
+    signed,
 )
 from .letters import Letter, UnknownAtomError, restrict_letter
 from .syntax import Closure, Formula, atoms_of, closure_of
 from .truth import Truth
 
-_ALL_MARKS = frozenset((ABSENT, POS, NEG))
-#: Every set of marks, once, so that linkage masks share their entries.
-_MARK_SETS = {
-    s: s for r in range(4) for s in map(frozenset, combinations(_ALL_MARKS, r))
-}
-
 
 def state_pattern(vec: Sequence[int], closure: Closure) -> Letter:
     """The literal pattern of a state: its positive and negated atoms."""
-    literals = []
-    for i, name in closure.atom_coords:
-        if vec[i] == POS:
-            literals.append((name, True))
-        elif vec[i] == NEG:
-            literals.append((name, False))
-    return frozenset(literals)
+    return frozenset(
+        (name, vec[i] == POS) for i, name in closure.atom_coords if vec[i] != ABSENT
+    )
 
 
-def _successor_allowed(
-    vec: Sequence[int], closure: Closure
-) -> Optional[list[Optional[frozenset[int]]]]:
-    """Per-coordinate marks a successor state may take, or None if no
-    successor can satisfy the next/until linkage."""
-    allowed: list[Optional[frozenset[int]]] = [None] * len(closure.bases)
+# The linkage and acceptance rules, over the marks of an until base u
+# and of its operands as referenced.  The tables below are read from them.
 
-    def restrict(i: int, marks: frozenset[int]) -> bool:
-        current = allowed[i]
-        marks = _MARK_SETS[marks if current is None else (current & marks)]
-        allowed[i] = marks
-        return bool(marks)
 
-    for i, (j, positive) in closure.nexts:
-        value = vec[i]
-        if value == POS:
-            required = POS if positive else NEG
-        elif value == NEG:
-            required = NEG if positive else POS
-        else:
-            required = ABSENT
-        if not restrict(j, frozenset((required,))):
-            return None
+def _until_links(u: int, l: int, r: int, x: int) -> bool:
+    """May a successor give u = l U r the mark x?  The expansion law
+    u = r | (l & X u) must hold exactly when u is present, and its
+    negation !u = !r & (!l | X !u) exactly when u is present negatively."""
+    holds = r == POS or (l == POS and x == POS)
+    fails = r == NEG and (l == NEG or x == NEG)
+    return (u == POS) == holds and (u == NEG) == fails
 
-    for i, lref, rref in closure.untils:
-        value = vec[i]
-        m1, m2 = member(vec, lref), member(vec, rref)
-        n1, n2 = member_negated(vec, lref), member_negated(vec, rref)
-        marks = _ALL_MARKS
-        if value == POS:
-            if not m2:
-                if not m1:
-                    return None
-                marks = marks & {POS}
-        else:
-            if m2:
-                return None
-            if m1:
-                marks = marks - {POS}
-        if value == NEG:
-            if not n2:
-                return None
-            if not n1:
-                marks = marks & {NEG}
-        else:
-            if n1 and n2:
-                return None
-            if n2:
-                marks = marks - {NEG}
-        if not restrict(i, marks):
-            return None
 
-    return allowed
+def _fulfils(u: int, r: int) -> bool:
+    """Is a state in the acceptance set of u = l U r?  It is unless u is
+    pending (present without r) or r is refuted while u is not."""
+    return (u != POS or r == POS) and (r != NEG or u == NEG)
+
+
+@cache
+def _until_link_table(lpos: bool, rpos: bool) -> tuple[int, ...]:
+    """Bit sets of the marks `_until_links` allows the successor's u,
+    indexed by 9 * (u's mark) + 3 * (left operand's base mark) + (right's)."""
+    return tuple(
+        sum(1 << x for x in MARKS if _until_links(u, signed(l, lpos), signed(r, rpos), x))
+        for u, l, r in product(MARKS, repeat=3)
+    )
+
+
+class _Rules:
+    """A closure's linkage and acceptance rules as flat tables."""
+
+    __slots__ = ("nexts", "untils", "accept", "full")
+
+    def __init__(self, closure: Closure):
+        #: Per X base i with operand j: j's mark bit per mark of i.
+        self.nexts = tuple(
+            (i, j, tuple(1 << signed(m, positive) for m in MARKS))
+            for i, (j, positive) in closure.nexts
+        )
+        self.untils = tuple(
+            (i, l, r, _until_link_table(lpos, rpos))
+            for i, (l, lpos), (r, rpos) in closure.untils
+        )
+        #: Per until base i, the bit of its set where `_fulfils` holds,
+        #: indexed by 3 * (i's mark) + (right operand's base mark).
+        self.accept = tuple(
+            (i, r, tuple(_fulfils(u, signed(m, rpos)) << k for u in MARKS for m in MARKS))
+            for k, (i, _l, (r, rpos)) in enumerate(closure.untils)
+        )
+        self.full = 1 << len(closure.untils)
+
+    def successor_allowed(self, vec: StateVec) -> Optional[tuple[int, ...]]:
+        """Per-coordinate bit sets of the marks a successor state may take
+        (see `Tables.states`), or None if no successor can satisfy the
+        next/until linkage."""
+        allowed = [ANY] * len(vec)
+        for i, j, bits in self.nexts:
+            allowed[j] &= bits[vec[i]]
+        for i, l, r, table in self.untils:
+            allowed[i] &= table[9 * vec[i] + 3 * vec[l] + vec[r]]
+        return None if 0 in allowed else tuple(allowed)
+
+    def acceptance_mask(self, vec: StateVec) -> int:
+        """The sets of `acceptance_sets` that hold `vec`, bit k for set k."""
+        mask = self.full
+        for i, r, table in self.accept:
+            mask |= table[3 * vec[i] + vec[r]]
+        return mask
 
 
 def successors(vec: StateVec, letter: Letter, closure: Closure) -> list[StateVec]:
@@ -116,20 +125,10 @@ def successors(vec: StateVec, letter: Letter, closure: Closure) -> list[StateVec
     """
     if restrict_letter(letter, closure.atoms) != state_pattern(vec, closure):
         return []
-    allowed = _successor_allowed(vec, closure)
+    allowed = _Rules(closure).successor_allowed(vec)
     if allowed is None:
         return []
     return enumerate_states(closure, allowed)
-
-
-def _fulfils(vec: Sequence[int], i: int, rref: tuple[int, bool]) -> bool:
-    """Is `vec` in the acceptance set of until base i, whose right
-    operand is `rref`?  It is unless the until is pending (present
-    without its right operand) or its right operand is refuted while
-    the until is not."""
-    return (vec[i] != POS or member(vec, rref)) and (
-        not member_negated(vec, rref) or vec[i] == NEG
-    )
 
 
 def acceptance_sets(
@@ -137,23 +136,12 @@ def acceptance_sets(
 ) -> list[frozenset[int]]:
     """One acceptance set per until base, in closure order, then the
     full state set."""
-    out = []
-    for i, _lref, rref in closure.untils:
-        members = frozenset(
-            sid for sid, vec in enumerate(states) if _fulfils(vec, i, rref)
-        )
-        out.append(members)
-    out.append(frozenset(range(len(states))))
-    return out
-
-
-def _acceptance_mask(vec: StateVec, closure: Closure) -> int:
-    """The sets of `acceptance_sets` that hold `vec`, bit k for set k."""
-    mask = 1 << len(closure.untils)
-    for k, (i, _lref, rref) in enumerate(closure.untils):
-        if _fulfils(vec, i, rref):
-            mask |= 1 << k
-    return mask
+    rules = _Rules(closure)
+    masks = [rules.acceptance_mask(vec) for vec in states]
+    return [
+        frozenset(q for q, mask in enumerate(masks) if mask >> k & 1)
+        for k in range(len(closure.untils) + 1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -187,20 +175,8 @@ def _initial_mark(closure: Closure, value: Truth) -> tuple[int, int]:
     """The formula's coordinate and the mark the initial states of the
     automaton for `value` give it."""
     idx, positive = closure.ref(closure.formula)
-    if value is Truth.TRUE:
-        wanted = POS if positive else NEG
-    elif value is Truth.FALSE:
-        wanted = NEG if positive else POS
-    else:
-        wanted = ABSENT
-    return idx, wanted
-
-
-def _initial_ids(
-    states: Sequence[StateVec], closure: Closure, value: Truth
-) -> frozenset[int]:
-    idx, wanted = _initial_mark(closure, value)
-    return frozenset(sid for sid, vec in enumerate(states) if vec[idx] == wanted)
+    mark = {Truth.TRUE: POS, Truth.FALSE: NEG, Truth.UNKNOWN: ABSENT}[value]
+    return idx, signed(mark, positive)
 
 
 def checked_closure(psi: Formula, alphabet: tuple[str, ...], cap: int) -> Closure:
@@ -221,12 +197,10 @@ def checked_closure(psi: Formula, alphabet: tuple[str, ...], cap: int) -> Closur
     return closure
 
 
-#: Marks each coordinate may take, None where any mark may (see
-#: `enumerate_states`); a `Mask` is the same, frozen.
-Allowed = list[Optional[frozenset[int]]]
-Mask = tuple[Optional[frozenset[int]], ...]
-
-_ONLY = {mark: frozenset((mark,)) for mark in (ABSENT, POS, NEG)}
+#: Bit sets of the marks each coordinate may take (see `Tables.states`);
+#: a `Mask` is the same, frozen.
+Allowed = list[int]
+Mask = tuple[int, ...]
 
 
 def _pin(allowed: Allowed | Mask, pins: Sequence[tuple[int, int]]) -> Optional[Allowed]:
@@ -234,10 +208,9 @@ def _pin(allowed: Allowed | Mask, pins: Sequence[tuple[int, int]]) -> Optional[A
     when some coordinate may not take that mark."""
     out = list(allowed)
     for i, mark in pins:
-        current = out[i]
-        if current is not None and mark not in current:
+        out[i] &= 1 << mark
+        if not out[i]:
             return None
-        out[i] = _ONLY[mark]
     return out
 
 
@@ -248,7 +221,7 @@ class LazyFamily:
 
     A product pairs an automaton state only with a letter equal to its
     literal pattern.  Holding every atom coordinate to the marks of
-    letter l makes `enumerate_states` yield exactly the states whose
+    letter l makes the enumeration yield exactly the states whose
     pattern is l, in their lexicographic order, which is the order
     `build_family` numbers them in.  So `roots(value, l)` lists the
     initial states of the automaton for `value` whose pattern is l, and
@@ -259,13 +232,15 @@ class LazyFamily:
     `acceptance_sets`, computed once.
 
     Successor lists are shared by (linkage mask, letter).  This is sound
-    because `enumerate_states(closure, allowed)` reads nothing of the
-    source state but the mask `_successor_allowed` derives from it, so
-    sources with equal masks have equal successor lists, in one order.
+    because the enumeration reads nothing of the source state but the
+    mask `successor_allowed` derives from it, so sources with equal
+    masks have equal successor lists, in one order.
     """
 
     def __init__(self, closure: Closure, letters: Sequence[Optional[Letter]]):
         self.closure = closure
+        self._tables = Tables(closure)
+        self._rules = _Rules(closure)
         # The (atom coordinate, mark) pairs of each letter.
         self._pins: list[list[tuple[int, int]]] = []
         for letter in letters:
@@ -292,28 +267,28 @@ class LazyFamily:
         """Ids of the states `allowed` admits, in enumeration order."""
         if allowed is None:
             return ()
-        out = []
-        closure = self.closure
-        for vec in enumerate_states(closure, allowed):
-            sid = self._ids.get(vec)
-            if sid is None:
-                sid = self._ids[vec] = len(self.marks)
-                successor = _successor_allowed(vec, closure)
-                mask = None if successor is None else tuple(successor)
-                mask_id = self._mask_ids.get(mask)
-                if mask_id is None:
-                    mask_id = self._mask_ids[mask] = len(self._masks)
-                    self._masks.append(mask)
-                self._mask_of.append(mask_id)
-                self.marks.append(_acceptance_mask(vec, closure))
-            out.append(sid)
-        return tuple(out)
+        vecs = self._tables.states(allowed)
+        get = self._ids.get
+        out = tuple(map(get, vecs))
+        if None in out:
+            new = [vec for vec, sid in zip(vecs, out) if sid is None]
+            first = len(self.marks)
+            self._ids.update(zip(new, range(first, first + len(new))))
+            self.marks += map(self._rules.acceptance_mask, new)
+            mask_ids = self._mask_ids
+            self._mask_of += [
+                mask_ids.setdefault(mask, len(mask_ids))
+                for mask in map(self._rules.successor_allowed, new)
+            ]
+            self._masks += islice(mask_ids, len(self._masks), None)
+            out = tuple(map(get, vecs))
+        return out
 
     def roots(self, value: Truth, letter: int) -> tuple[int, ...]:
         """Initial states of the automaton for `value` with pattern `letter`."""
         idx, wanted = _initial_mark(self.closure, value)
-        allowed: Allowed = [None] * len(self.closure.bases)
-        allowed[idx] = _ONLY[wanted]
+        allowed = [ANY] * len(self.closure.bases)
+        allowed[idx] = 1 << wanted
         return self._ids_of(_pin(allowed, self._pins[letter]))
 
     def targets(self, q: int, letter: int) -> tuple[int, ...]:
@@ -338,10 +313,14 @@ def _read_in_full(
     alphabet = tuple(alphabet)
     closure = checked_closure(psi, alphabet, cap)
     family = LazyFamily(closure, [None])
-    family._ids_of([None] * len(closure.bases))
+    family._ids_of([ANY] * len(closure.bases))
     states = tuple(family._ids)
     marks = family.marks
-    patterns = tuple(state_pattern(vec, closure) for vec in states)
+    # One object per distinct pattern, so the collector tracks fewer.
+    distinct: dict[Letter, Letter] = {}
+    patterns = tuple(
+        distinct.setdefault(p, p) for p in map(state_pattern, states, repeat(closure))
+    )
     succ = tuple(family.targets(q, 0) for q in range(len(states)))
     acceptance = tuple(
         frozenset(q for q, mark in enumerate(marks) if mark >> k & 1)
@@ -352,7 +331,7 @@ def _read_in_full(
             closure=closure,
             alphabet=alphabet,
             states=states,
-            initial=_initial_ids(states, closure, value),
+            initial=frozenset(family.roots(value, 0)),
             patterns=patterns,
             succ=succ,
             acceptance=acceptance,

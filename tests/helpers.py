@@ -13,15 +13,19 @@ from collections import deque
 from itertools import product
 
 import networkx as nx
+from hypothesis import strategies as st
 
 from triltl import (
     ABSENT,
     NEG,
     POS,
+    TRUE,
     And,
+    Atom,
     Gnba,
     LassoWord,
     Nba,
+    Next,
     Not,
     TrueConst,
     Until,
@@ -33,6 +37,18 @@ from triltl import (
 from triltl.syntax import Closure, Formula
 
 ATOMS = ("a", "b")
+
+#: Formulas over a and b with at most four leaves.
+small_formulas = st.recursive(
+    st.one_of(st.sampled_from([Atom("a"), Atom("b")]), st.just(TRUE)),
+    lambda children: st.one_of(
+        st.builds(negated, children),
+        st.builds(Next, children),
+        st.builds(And, children, children),
+        st.builds(Until, children, children),
+    ),
+    max_leaves=4,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +121,69 @@ def naive_elementary(closure: Closure) -> set[tuple[int, ...]]:
             )
             out.add(vec)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Naive linkage oracle: successors and acceptance of an elementary set,
+# read off the next rules and the until expansion law over formulas.
+# ---------------------------------------------------------------------------
+
+
+def _has(closure: Closure, vec: tuple[int, ...], g: Formula) -> bool:
+    """Does the elementary set `vec` contain the formula g?"""
+    if isinstance(g, Not):
+        return vec[closure.index[g.child]] == NEG
+    return vec[closure.index[g]] == POS
+
+
+def naive_successors(closure: Closure, vec: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The elementary sets w that may follow `vec`, in sorted order.
+
+    X g is in vec iff g is in w, and !X g iff !g is in w.  For every
+    until u = l U r: u is in vec iff r is, or l is and u is in w; !u is
+    in vec iff !r is, and !l is or !u is in w.
+    """
+    out = []
+    for w in naive_elementary(closure):
+        ok = True
+        for base in closure.bases:
+            if isinstance(base, Next):
+                g = base.child
+                ok &= _has(closure, vec, base) == _has(closure, w, g)
+                ok &= _has(closure, vec, Not(base)) == _has(closure, w, negated(g))
+            elif isinstance(base, Until):
+                l, r, nu = base.left, base.right, Not(base)
+                ok &= _has(closure, vec, base) == (
+                    _has(closure, vec, r) or (_has(closure, vec, l) and _has(closure, w, base))
+                )
+                ok &= _has(closure, vec, nu) == (
+                    _has(closure, vec, negated(r))
+                    and (_has(closure, vec, negated(l)) or _has(closure, w, nu))
+                )
+        if ok:
+            out.append(w)
+    return sorted(out)
+
+
+def naive_acceptance(closure: Closure, states) -> tuple[frozenset[int], ...]:
+    """One set per until u = l U r, in closure order, then all states.
+
+    A state is in u's set unless it holds u without r, or holds !r
+    without !u.
+    """
+    sets = []
+    for base in closure.bases:
+        if isinstance(base, Until):
+            r = base.right
+            sets.append(
+                frozenset(
+                    q
+                    for q, vec in enumerate(states)
+                    if (not _has(closure, vec, base) or _has(closure, vec, r))
+                    and (not _has(closure, vec, negated(r)) or _has(closure, vec, Not(base)))
+                )
+            )
+    return tuple(sets) + (frozenset(range(len(states))),)
 
 
 # ---------------------------------------------------------------------------

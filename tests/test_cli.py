@@ -19,6 +19,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def refuse_enumeration(monkeypatch):
+    """Make every route into elementary-set enumeration raise."""
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("enumerated before the cap check")
+
+    monkeypatch.setattr(elementary.Tables, "states", refuse)
+    monkeypatch.setattr(elementary, "enumerate_states", refuse)
+    monkeypatch.setattr(gnba, "enumerate_states", refuse)
+
+
 class TestTranslate:
     def test_summary_and_hoa_output(self, capsys, tmp_path):
         out = tmp_path / "out.hoa"
@@ -90,6 +101,21 @@ class TestTranslate:
         )
         assert code == 3
         assert "state-space limit exceeded" in stderr
+
+    def test_state_cap_refused_before_enumeration(self, capsys, tmp_path, monkeypatch):
+        refuse_enumeration(monkeypatch)
+        out = tmp_path / "x.hoa"
+        code, stdout, stderr = run(
+            capsys,
+            "translate", "--formula", "a U b", "--alphabet", "a,b",
+            "--value", "uu", "--state-cap", "8", "--out-hoa", str(out),
+        )
+        assert code == 3
+        assert stdout == ""
+        assert stderr == (
+            "error: state-space limit exceeded: 3^3 = 27 candidate sets, cap is 8\n"
+        )
+        assert not out.exists()
 
     def test_bad_truth_value(self, capsys, tmp_path):
         code, _, stderr = run(
@@ -225,12 +251,7 @@ class TestCheck:
     def test_state_cap_refused_before_enumeration(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "m.json"
         path.write_text(model_doc(["s0"], "s0", [["s0", "s0"]], {"s0": {"a": "t"}}))
-
-        def refuse(*args, **kwargs):
-            raise RuntimeError("enumerated before the cap check")
-
-        monkeypatch.setattr(elementary, "enumerate_states", refuse)
-        monkeypatch.setattr(gnba, "enumerate_states", refuse)
+        refuse_enumeration(monkeypatch)
         code, stdout, stderr = run(
             capsys,
             "check", "--model", str(path), "--formula", "a U b", "--state-cap", "8",

@@ -5,37 +5,23 @@ from triltl import (
     ABSENT,
     NEG,
     POS,
-    And,
     Atom,
     Next,
     Not,
     StateSpaceLimitError,
-    TRUE,
-    Until,
     closure_of,
     enumerate_elementary,
     format_formula,
     format_state,
     is_consistent,
     is_locally_consistent,
-    negated,
     parse_core,
     state_members,
 )
-from helpers import CORPUS, naive_elementary, vec_of
+from triltl.elementary import ANY, enumerate_states
+from helpers import CORPUS, naive_elementary, small_formulas, vec_of
 
-A, B = Atom("a"), Atom("b")
-
-small_formulas = st.recursive(
-    st.one_of(st.sampled_from([A, B]), st.just(TRUE)),
-    lambda children: st.one_of(
-        st.builds(negated, children),
-        st.builds(Next, children),
-        st.builds(And, children, children),
-        st.builds(Until, children, children),
-    ),
-    max_leaves=4,
-)
+A = Atom("a")
 
 
 class TestConsistency:
@@ -163,6 +149,23 @@ class TestEnumeration:
         states = enumerate_elementary(c)
         assert len(set(states)) == len(states)
         assert set(states) == naive_elementary(c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_formulas, st.data())
+    def test_masked_enumeration_is_the_sorted_filtered_oracle(self, f, data):
+        # LazyFamily's letter pins and the eager numbering rely on this order.
+        c = closure_of(f)
+        if len(c.bases) > 6:
+            return
+        n = len(c.bases)
+        allowed = data.draw(st.lists(st.integers(0, ANY), min_size=n, max_size=n))
+        expected = [
+            vec
+            for vec in sorted(naive_elementary(c))
+            if all(bits >> mark & 1 for bits, mark in zip(allowed, vec))
+        ]
+        assert enumerate_states(c, allowed) == expected
+        assert enumerate_states(c) == sorted(naive_elementary(c))
 
     @settings(max_examples=60, deadline=None)
     @given(small_formulas)

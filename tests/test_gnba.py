@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from triltl import (
     ABSENT,
@@ -23,7 +24,14 @@ from triltl import (
 )
 from triltl.gnba import LazyFamily, build_family
 from triltl.letters import all_letters
-from helpers import CORPUS, gnba_accepts_lasso, vec_of
+from helpers import (
+    CORPUS,
+    gnba_accepts_lasso,
+    naive_acceptance,
+    naive_successors,
+    small_formulas,
+    vec_of,
+)
 
 A = Atom("a")
 
@@ -304,3 +312,21 @@ class TestDegeneralize:
             expected = counter % k + 1 if gid in g.acceptance[counter - 1] else counter
             for tid in n.succ[sid]:
                 assert n.states[tid][1] == expected
+
+
+class TestLinkageOracle:
+    """Successors and acceptance agree with the formula-level oracle,
+    which reads none of the library's compiled tables."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_formulas)
+    def test_succ_and_acceptance_match_the_oracle(self, psi):
+        closure = closure_of(psi)
+        if len(closure.bases) > 6:
+            return
+        family = build_family(psi, sorted(atoms_of(psi)))
+        g = family[Truth.TRUE]
+        for q, vec in enumerate(g.states):
+            assert [g.states[t] for t in g.succ[q]] == naive_successors(closure, vec)
+        for value in Truth:
+            assert family[value].acceptance == naive_acceptance(closure, g.states)
