@@ -10,7 +10,7 @@ until.
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
+from itertools import accumulate, product
 from typing import Optional, Sequence
 
 from .syntax import Closure, Formula, negated
@@ -81,49 +81,170 @@ def is_locally_consistent(vec: Sequence[int], closure: Closure) -> bool:
     )
 
 
-#: Suffixes a prefix may be extended by, per allowed-mark bit set.
-_Choices = tuple[StateVec, ...]
+#: Per operand-mark index, the marks a base may take.
+_Choices = tuple[tuple[int, ...], ...]
 
-_FREE: tuple[_Choices, ...] = tuple(
-    tuple((m,) for m in MARKS if allowed >> m & 1) for allowed in range(ANY + 1)
-)
-_TRUE: tuple[_Choices, ...] = tuple(
-    ((POS,),) if allowed >> POS & 1 else () for allowed in range(ANY + 1)
-)
+def _layout(choices: _Choices) -> tuple:
+    """How a node expands, per operand-mark index ix, by the marks of
+    `choices[ix]`: `choices` itself; per bit set of marks (0 to `ANY`),
+    the offsets from the node's first child of the children whose mark
+    is in the set; the one-mark suffixes of the children's vectors; the
+    index 3 * ix + m of each child's key constant; and per bit set, the
+    suffixes of the marks in the set, for `Tables.states`."""
+    select = tuple(
+        tuple(tuple(j for j, m in enumerate(marks) if bits >> m & 1) for marks in choices)
+        for bits in range(ANY + 1)
+    )
+    suffixes = tuple(tuple((m,) for m in marks) for marks in choices)
+    slots = tuple(tuple(3 * ix + m for m in marks) for ix, marks in enumerate(choices))
+    restricted = tuple(
+        tuple(tuple(row[j] for j in offsets) for row, offsets in zip(suffixes, chosen))
+        for chosen in select
+    )
+    return choices, select, suffixes, slots, restricted
+
+
+#: The layouts of a base without operands, and of the constant true.
+_FREE = _layout((MARKS,))
+_TRUE = _layout(((POS,),))
 
 
 @cache
-def _operand_tables(rule, lpos: bool, rpos: bool) -> tuple[tuple[_Choices, ...], ...]:
-    """Per allowed-mark bit set, the marks `rule` lets a base take,
-    indexed by 3 * (left operand's base mark) + (right operand's)."""
-    return tuple(
+def _operand_layout(rule, lpos: bool, rpos: bool) -> tuple:
+    """The `_layout` of the marks `rule` lets a base take, indexed by
+    3 * (left operand's base mark) + (right operand's)."""
+    return _layout(
         tuple(
-            tuple(
-                (m,)
-                for m in MARKS
-                if allowed >> m & 1 and rule(m, signed(l, lpos), signed(r, rpos))
-            )
+            tuple(m for m in MARKS if rule(m, signed(l, lpos), signed(r, rpos)))
             for l, r in product(MARKS, repeat=2)
         )
-        for allowed in range(ANY + 1)
     )
 
 
+#: Key constants of a level that leave every key as it is.
+_KEEP = (-1,) * 27
+
+
+def pack(allowed: Sequence[int]) -> int:
+    """Per-coordinate mark bit sets as one int, 3 bits per coordinate,
+    coordinate 0 highest: of n coordinates, coordinate i's bit set is
+    at `slot(n, i)`.  So packed masks compare as their bit sets do,
+    from coordinate 0 on."""
+    packed = 0
+    for bits in allowed:
+        packed = packed << 3 | bits
+    return packed
+
+
+def slot(n: int, i: int) -> int:
+    """The shift of coordinate i's bit set in a mask of n coordinates
+    packed by `pack`."""
+    return 3 * (n - 1 - i)
+
+
 class Tables:
-    """A closure compiled for enumeration: per base, the coordinates of
-    its operands (None for a base without) and its choice tables."""
+    """A closure compiled for enumeration: the prefix trie of its
+    elementary sets, grown on demand.
 
-    __slots__ = ("levels",)
+    Node 0 is the empty prefix.  A node at depth i is a consistent
+    assignment to bases 0..i-1; its children extend it by each mark the
+    local rule of base i allows, given the marks of base i's operands,
+    which come earlier, at operand-mark index ix = 3 * (left operand's
+    mark) + (right's), or 0 for a base without operands.  A node is
+    expanded once, the first time a walk reaches it: its children get
+    consecutive ids in mark order, and `kids[node]` is the pair (first
+    child, ix).  `vecs[node]` is the node's assignment vector, and
+    `keys[node]` its key: the parent's key AND-ed with
+    `level_keys[i][3 * ix + m]` for the child's mark m (a level given as
+    None, or no `level_keys`, keeps every key), and `root_key` for node
+    0.  `walk` reads the trie; `states` enumerates without it.
+    """
 
-    def __init__(self, closure: Closure):
-        levels = [(None, None, _FREE)] * len(closure.bases)
+    __slots__ = ("levels", "vecs", "keys", "kids", "_shifts", "_lead", "_walked")
+
+    def __init__(
+        self,
+        closure: Closure,
+        level_keys: Optional[Sequence[Optional[Sequence[int]]]] = None,
+        root_key: int = 0,
+    ):
+        n = len(closure.bases)
+        levels = [(None, None, _FREE)] * n
         if closure.true_index is not None:
             levels[closure.true_index] = (None, None, _TRUE)
         rules = ((_and_holds, closure.conjunctions), (_until_holds, closure.untils))
         for rule, compounds in rules:
             for i, (l, lpos), (r, rpos) in compounds:
-                levels[i] = (l, r, _operand_tables(rule, lpos, rpos))
-        self.levels = tuple(levels)
+                levels[i] = (l, r, _operand_layout(rule, lpos, rpos))
+        self.levels = tuple(
+            (l, r, *layout, consts or _KEEP)
+            for (l, r, layout), consts in zip(levels, level_keys or [None] * n)
+        )
+        self.vecs: list[StateVec] = [()]
+        self.keys: list[int] = [root_key]
+        self.kids: dict[int, tuple[int, int]] = {}
+        self._shifts = list(range(slot(n, 0), -1, -3))
+        # The literal bases (atoms and true, the bases of size 1) come
+        # first.  Walks resume per value of a mask's bits at them; see
+        # `walk`.
+        literals = len(closure.atom_coords) + (closure.true_index is not None)
+        self._lead = 3 * (n - literals)
+        self._walked: dict[int, tuple[int, list]] = {}
+
+    def _expand(self, depth: int, nodes: list[int]) -> None:
+        """Expand the nodes of `nodes` (all at `depth`) not expanded yet."""
+        l, r, _, _, suffixes, slots, _, consts = self.levels[depth]
+        vecs, keys, kids = self.vecs, self.keys, self.kids
+        todo = [node for node in nodes if node not in kids]
+        parents = list(map(vecs.__getitem__, todo))
+        ixs = [0] * len(todo) if l is None else [3 * vec[l] + vec[r] for vec in parents]
+        rows = list(map(suffixes.__getitem__, ixs))
+        first = len(vecs)
+        vecs += [vec + suffix for vec, row in zip(parents, rows) for suffix in row]
+        keys += [
+            key & consts[k] for key, ix in zip(map(keys.__getitem__, todo), ixs) for k in slots[ix]
+        ]
+        kids.update(zip(todo, zip(accumulate(map(len, rows), initial=first), ixs)))
+
+    def walk(self, mask: int) -> list[int]:
+        """The leaves (nodes at full depth) that `mask` admits, in
+        lexicographic order of their vectors (absent < positive <
+        negative).
+
+        `mask` is packed as by `pack`.  Each level moves a list of node
+        ids down by the marks allowed there, so no prefix is rebuilt.
+        The node lists of the last walk are kept per value of the mask's
+        bits at the literal bases, and a walk resumes from the first
+        level where its mask differs from that walk's.  So letter-pinned
+        walks share their later levels with earlier walks pinned to the
+        same letter, and walks in increasing mask order, which is the
+        order of their bit sets from level 0 on, share every level where
+        their masks agree.
+        """
+        n = len(self._shifts)
+        lead = mask >> self._lead
+        last = self._walked.get(lead)
+        if last is None:
+            depth, frontiers = 0, [[0]] + [None] * n
+        else:
+            before, frontiers = last
+            differ = mask ^ before
+            if not differ:
+                return frontiers[n]
+            depth = n - 1 - (differ.bit_length() - 1) // 3
+        self._walked[lead] = (mask, frontiers)
+        kids, levels, shifts = self.kids, self.levels, self._shifts
+        nodes = frontiers[depth]
+        for depth in range(depth, n):
+            if not all(map(kids.__contains__, nodes)):
+                self._expand(depth, nodes)
+            select = levels[depth][3][mask >> shifts[depth] & ANY]
+            nodes = [b + j for b, ix in map(kids.__getitem__, nodes) for j in select[ix]]
+            frontiers[depth + 1] = nodes
+            if not nodes:
+                frontiers[depth + 2 :] = [nodes] * (n - depth - 1)
+                break
+        return nodes
 
     def states(self, allowed: Optional[Sequence[int]] = None) -> list[StateVec]:
         """All elementary sets, optionally restricted per coordinate.
@@ -133,16 +254,34 @@ class Tables:
         out in lexicographic order of the assignment vector (absent <
         positive < negative): bases are sorted so that operands precede
         compounds, and each level extends the ordered prefixes of the
-        previous one in mark order.
+        previous one in mark order.  This builds the prefixes afresh,
+        without the trie, so the per-state reference functions that the
+        tests hold `walk` to do not share its code.
         """
         prefixes: list[StateVec] = [()]
-        for i, (l, r, tables) in enumerate(self.levels):
-            table = tables[ANY if allowed is None else allowed[i]]
+        for i, (l, r, *_, restricted, _) in enumerate(self.levels):
+            table = restricted[ANY if allowed is None else allowed[i]]
             if l is None:
-                prefixes = [p + s for p in prefixes for s in table]
+                prefixes = [p + s for p in prefixes for s in table[0]]
             else:
                 prefixes = [p + s for p in prefixes for s in table[3 * p[l] + p[r]]]
         return prefixes
+
+    def labels(self, closure: Closure) -> list[str]:
+        """`format_state` of every leaf, in lexicographic order, each
+        made once from its parent's text and its own member's text.  The
+        trie must be fully grown, as a walk that allows every mark leaves
+        it."""
+        nodes, texts = [0], [""]
+        kids = self.kids
+        levels = zip(self.levels, closure.base_texts, closure.negated_texts)
+        for (_, _, choices, select, *_), pos, neg in levels:
+            member = ("", ", " + pos, ", " + neg)
+            pieces = [[member[m] for m in marks] for marks in choices]
+            children = list(map(kids.__getitem__, nodes))
+            texts = [text + piece for text, (_, ix) in zip(texts, children) for piece in pieces[ix]]
+            nodes = [b + j for b, ix in children for j in select[ANY][ix]]
+        return ["{" + text[2:] + "}" if text else "∅" for text in texts]
 
 
 def enumerate_states(
@@ -171,7 +310,7 @@ def enumerate_elementary(
     Raises StateSpaceLimitError when 3^(number of bases) exceeds `cap`.
     """
     check_candidate_cap(closure, cap)
-    return Tables(closure).states()
+    return enumerate_states(closure)
 
 
 def state_members(vec: Sequence[int], closure: Closure) -> tuple[Formula, ...]:

@@ -36,9 +36,12 @@ def _acceptance_texts(g: Gnba, sep: str) -> list[str]:
     return [texts[mask] for mask in masks]
 
 
-def _edge_block(head: str, ids: list[str], targets, tail: str = "") -> str:
-    """One line `head + target id + tail` per target, joined."""
-    return head + (tail + "\n" + head).join([ids[t] for t in targets]) + tail
+def _target_names(g: Gnba, ids: list[str]) -> dict[int, list[str]]:
+    """The target id strings of each successor tuple, by the tuple's
+    `id`: states whose linkage masks are equal share one tuple object
+    (see `build_family`), so each shared list is made once."""
+    distinct = {id(targets): targets for targets in g.succ}
+    return {key: list(map(ids.__getitem__, targets)) for key, targets in distinct.items()}
 
 
 def to_dot(g: Gnba) -> str:
@@ -49,21 +52,27 @@ def to_dot(g: Gnba) -> str:
     filled yellow; each edge carries the source state's literal
     pattern.
     """
-    ids = [str(sid) for sid in range(len(g.states))]
+    ids = list(map(str, range(len(g.states))))
     acc = _acceptance_texts(g, ",")
-    letters = {pattern: format_letter(pattern) for pattern in set(g.patterns)}
+    tails = {pattern: f' [label="{format_letter(pattern)}"];' for pattern in set(g.patterns)}
     lines = [
         "digraph gnba {",
         "  rankdir=LR;",
         '  node [shape=circle, fontname="Helvetica"];',
     ]
-    for sid, name in enumerate(ids):
-        fill = ", style=filled, fillcolor=yellow" if sid in g.initial else ""
-        lines.append(f'  {name} [label="{g.state_label(sid)}\\nacc: {acc[sid]}"{fill}];')
-    for sid, name in enumerate(ids):
-        if g.succ[sid]:
-            tail = f' [label="{letters[g.patterns[sid]]}"];'
-            lines.append(_edge_block(f"  {name} -> ", ids, g.succ[sid], tail))
+    fill = ", style=filled, fillcolor=yellow"
+    lines += [
+        f'  {name} [label="{label}\\nacc: {sets}"{fill if sid in g.initial else ""}];'
+        for sid, (name, label, sets) in enumerate(zip(ids, g.labels, acc))
+    ]
+    names = _target_names(g, ids)
+    lines += [
+        f"  {name} -> "
+        + f"{tails[pattern]}\n  {name} -> ".join(names[id(targets)])
+        + tails[pattern]
+        for name, pattern, targets in zip(ids, g.patterns, g.succ)
+        if targets
+    ]
     # The final newline ends the last line: adding it to the joined text
     # would copy the whole document once more.
     lines.append("}\n")
@@ -107,13 +116,17 @@ def to_hoa(g: Gnba) -> str:
     lines.append(f"Acceptance: {k} {'&'.join(f'Inf({i})' for i in range(k))}")
     lines.append("properties: trans-labels explicit-labels state-acc")
     lines.append("--BODY--")
-    ids = [str(sid) for sid in range(len(g.states))]
+    ids = list(map(str, range(len(g.states))))
     acc = _acceptance_texts(g, " ")
-    labels = {pattern: f"[{_edge_label(g, pattern)}] " for pattern in set(g.patterns)}
-    for sid, name in enumerate(ids):
-        lines.append(f'State: {name} "{g.state_label(sid)}" {{{acc[sid]}}}')
-        if g.succ[sid]:
-            lines.append(_edge_block(labels[g.patterns[sid]], ids, g.succ[sid]))
+    heads = {pattern: f"[{_edge_label(g, pattern)}] " for pattern in set(g.patterns)}
+    names = _target_names(g, ids)
+    lines += [
+        f'State: {name} "{label}" {{{sets}}}\n{heads[pattern]}'
+        + f"\n{heads[pattern]}".join(names[id(targets)])
+        if targets
+        else f'State: {name} "{label}" {{{sets}}}'
+        for name, label, sets, pattern, targets in zip(ids, g.labels, acc, g.patterns, g.succ)
+    ]
     lines.append("--END--\n")
     return "\n".join(lines)
 

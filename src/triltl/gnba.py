@@ -14,9 +14,9 @@ are asked for: `check_model` reads it letter by letter, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
-from itertools import islice, product, repeat
+from itertools import compress, product, repeat
 from typing import Optional, Sequence
 
 from .elementary import (
@@ -30,8 +30,8 @@ from .elementary import (
     Tables,
     check_candidate_cap,
     enumerate_states,
-    format_state,
     signed,
+    slot,
 )
 from .letters import Letter, UnknownAtomError, restrict_letter
 from .syntax import Closure, Formula, atoms_of, closure_of
@@ -74,6 +74,28 @@ def _until_link_table(lpos: bool, rpos: bool) -> tuple[int, ...]:
     )
 
 
+@cache
+def _fulfils_table(rpos: bool) -> tuple[int, ...]:
+    """1 where `_fulfils` holds, else 0, indexed by 3 * (u's mark) +
+    (right operand's base mark)."""
+    return tuple(int(_fulfils(u, signed(m, rpos))) for u in MARKS for m in MARKS)
+
+
+@cache
+def _until_key_table(lpos: bool, rpos: bool) -> tuple[int, ...]:
+    """Per index 3 * (3 * l + r) + u of an until level's key constants
+    (see `_level_keys`), the bit set `_until_links` allows the
+    successor's u, plus 8 if `_fulfils` holds."""
+    links, fulfils = _until_link_table(lpos, rpos), _fulfils_table(rpos)
+    return tuple(
+        links[9 * u + 3 * l + r] + 8 * fulfils[3 * u + r] for l, r, u in product(MARKS, repeat=3)
+    )
+
+
+#: Per mark of an X base, its operand's mark bit, by the operand's sign.
+_NEXT_BITS = {positive: tuple(1 << signed(m, positive) for m in MARKS) for positive in (True, False)}
+
+
 class _Rules:
     """A closure's linkage and acceptance rules as flat tables."""
 
@@ -81,20 +103,13 @@ class _Rules:
 
     def __init__(self, closure: Closure):
         #: Per X base i with operand j: j's mark bit per mark of i.
-        self.nexts = tuple(
-            (i, j, tuple(1 << signed(m, positive) for m in MARKS))
-            for i, (j, positive) in closure.nexts
-        )
+        self.nexts = tuple((i, j, _NEXT_BITS[positive]) for i, (j, positive) in closure.nexts)
         self.untils = tuple(
             (i, l, r, _until_link_table(lpos, rpos))
             for i, (l, lpos), (r, rpos) in closure.untils
         )
-        #: Per until base i, the bit of its set where `_fulfils` holds,
-        #: indexed by 3 * (i's mark) + (right operand's base mark).
-        self.accept = tuple(
-            (i, r, tuple(_fulfils(u, signed(m, rpos)) << k for u in MARKS for m in MARKS))
-            for k, (i, _l, (r, rpos)) in enumerate(closure.untils)
-        )
+        #: Per until base i, `_fulfils_table` of its right operand r.
+        self.accept = tuple((i, r, _fulfils_table(rpos)) for i, _l, (r, rpos) in closure.untils)
         self.full = 1 << len(closure.untils)
 
     def successor_allowed(self, vec: StateVec) -> Optional[tuple[int, ...]]:
@@ -111,9 +126,43 @@ class _Rules:
     def acceptance_mask(self, vec: StateVec) -> int:
         """The sets of `acceptance_sets` that hold `vec`, bit k for set k."""
         mask = self.full
-        for i, r, table in self.accept:
-            mask |= table[3 * vec[i] + vec[r]]
+        for k, (i, r, table) in enumerate(self.accept):
+            mask |= table[3 * vec[i] + vec[r]] << k
         return mask
+
+
+def _level_keys(closure: Closure) -> tuple[list[Optional[list[int]]], int]:
+    """The key constants of a `Tables` trie whose leaf keys hold, in one
+    int, a state's linkage mask, acceptance mask and pattern.
+
+    The low 3n bits of a leaf's key are the marks a successor may give
+    each coordinate, packed as by `pack`: `_Rules.successor_allowed`.
+    The next bits are `_Rules.acceptance_mask`, and above them 3 bits
+    per atom coordinate hold the atom's mark as one bit.  Each part is
+    read from the tables above, once per (level, mark, operand marks)
+    instead of once per state: an `X` base sets its operand's successor
+    marks, an until base its own successor marks and its acceptance bit,
+    and an atom its pattern bits.  Returns the constants per level (None
+    where a level keeps every key) and the root key.
+    """
+    n = len(closure.bases)
+    pattern_at = 3 * n + len(closure.untils) + 1
+    root = (1 << pattern_at + 3 * len(closure.atom_coords)) - 1
+    consts: list[Optional[list[int]]] = [None] * n
+    for i, (j, positive) in closure.nexts:
+        at = slot(n, j)
+        consts[i] = [root ^ ANY << at | b << at for b in _NEXT_BITS[positive]]
+    for a, (i, _name) in enumerate(closure.atom_coords):
+        at = pattern_at + 3 * a
+        consts[i] = [root ^ ANY << at | 1 << m << at for m in MARKS]
+    for k, (i, (_l, lpos), (_r, rpos)) in enumerate(closure.untils):
+        at = slot(n, i)
+        fulfilled = 1 << 3 * n + k
+        # The constant for each entry of `_until_key_table`.
+        made = [root ^ (ANY ^ b) << at ^ fulfilled for b in range(ANY + 1)]
+        made += [keep | fulfilled for keep in made]
+        consts[i] = list(map(made.__getitem__, _until_key_table(lpos, rpos)))
+    return consts, root
 
 
 def successors(vec: StateVec, letter: Letter, closure: Closure) -> list[StateVec]:
@@ -160,6 +209,8 @@ class Gnba:
     patterns: tuple[Letter, ...]
     succ: tuple[tuple[int, ...], ...]
     acceptance: tuple[frozenset[int], ...]
+    #: Per state, `format_state` of its vector.
+    labels: tuple[str, ...] = field(repr=False, compare=False)
 
     def transitions(self, sid: int, letter: Letter) -> tuple[int, ...]:
         """Successor ids for a state under a letter (empty on guard mismatch)."""
@@ -168,15 +219,21 @@ class Gnba:
         return self.succ[sid]
 
     def state_label(self, sid: int) -> str:
-        return format_state(self.states[sid], self.closure)
+        return self.labels[sid]
+
+
+#: An atom's mark, by its value in a letter (None where it is absent).
+_LETTER_MARKS = {None: ABSENT, True: POS, False: NEG}
+
+#: The mark each truth value gives the formula in the initial states.
+_INITIAL_MARKS = {Truth.TRUE: POS, Truth.FALSE: NEG, Truth.UNKNOWN: ABSENT}
 
 
 def _initial_mark(closure: Closure, value: Truth) -> tuple[int, int]:
     """The formula's coordinate and the mark the initial states of the
     automaton for `value` give it."""
     idx, positive = closure.ref(closure.formula)
-    mark = {Truth.TRUE: POS, Truth.FALSE: NEG, Truth.UNKNOWN: ABSENT}[value]
-    return idx, signed(mark, positive)
+    return idx, signed(_INITIAL_MARKS[value], positive)
 
 
 def checked_closure(psi: Formula, alphabet: tuple[str, ...], cap: int) -> Closure:
@@ -197,23 +254,6 @@ def checked_closure(psi: Formula, alphabet: tuple[str, ...], cap: int) -> Closur
     return closure
 
 
-#: Bit sets of the marks each coordinate may take (see `Tables.states`);
-#: a `Mask` is the same, frozen.
-Allowed = list[int]
-Mask = tuple[int, ...]
-
-
-def _pin(allowed: Allowed | Mask, pins: Sequence[tuple[int, int]]) -> Optional[Allowed]:
-    """`allowed` with each coordinate of `pins` held to its mark, or None
-    when some coordinate may not take that mark."""
-    out = list(allowed)
-    for i, mark in pins:
-        out[i] &= 1 << mark
-        if not out[i]:
-            return None
-    return out
-
-
 class LazyFamily:
     """The three automata of `build_family`, built only where a product
     with a fixed list of letters reads them, in the manner of the
@@ -229,78 +269,81 @@ class LazyFamily:
     relative order as the eager automaton.  A letter given as None pins
     no atom, so it reads the whole family.  State ids are handed out on
     discovery; `marks[q]` is q's acceptance bitmask, bit k for set k of
-    `acceptance_sets`, computed once.
+    `acceptance_sets`.
 
-    Successor lists are shared by (linkage mask, letter).  This is sound
-    because the enumeration reads nothing of the source state but the
-    mask `successor_allowed` derives from it, so sources with equal
-    masks have equal successor lists, in one order.
+    States are the leaves of one `Tables` trie, walked with the marks
+    allowed per coordinate packed into an int.  Every trie node carries
+    a key built from its parent's (see `_level_keys`), so a
+    state's linkage mask, marks and pattern are read off its leaf, not
+    recomputed per state.  Successor lists are shared by the packed
+    mask of the walk: the enumeration reads nothing of the source state
+    but that mask, so sources with equal masks have equal successor
+    lists, in one order.
     """
 
     def __init__(self, closure: Closure, letters: Sequence[Optional[Letter]]):
         self.closure = closure
-        self._tables = Tables(closure)
-        self._rules = _Rules(closure)
-        # The (atom coordinate, mark) pairs of each letter.
-        self._pins: list[list[tuple[int, int]]] = []
+        n = len(closure.bases)
+        self._tables = Tables(closure, *_level_keys(closure))
+        self._link_bits = (1 << 3 * n) - 1
+        # Per letter, the packed marks it allows: its own mark at each
+        # atom coordinate, every mark elsewhere.  Per atom, the bits to
+        # clear for each of its marks.
+        clears = [
+            (name, [(ANY ^ 1 << m) << slot(n, i) for m in MARKS]) for i, name in closure.atom_coords
+        ]
+        self._pins: list[int] = []
         for letter in letters:
-            value = dict(letter or ())
-            coords = () if letter is None else closure.atom_coords
-            self._pins.append(
-                [
-                    (i, ABSENT if name not in value else POS if value[name] else NEG)
-                    for i, name in coords
-                ]
-            )
+            pins = self._link_bits
+            if letter is not None:
+                value = dict(letter)
+                for name, clear in clears:
+                    pins ^= clear[_LETTER_MARKS[value.get(name)]]
+            self._pins.append(pins)
         self.nletters = len(letters)
         self.marks: list[int] = []
         self.all_marks = (1 << (len(closure.untils) + 1)) - 1
-        self._ids: dict[StateVec, int] = {}
-        self._mask_of: list[int] = []
-        # Each distinct linkage mask is stored once, as a key of
-        # `_mask_ids` and as the entry of `_masks` at its id.
-        self._mask_ids: dict[Optional[Mask], int] = {}
-        self._masks: list[Optional[Mask]] = []
+        # The leaf node of each state id, and the state id of each leaf
+        # reached so far.
+        self._leaves: list[int] = []
+        self._state_of: dict[int, int] = {}
+        # Per state, its linkage mask, one int object per distinct mask.
+        self._links: list[int] = []
+        self._distinct: dict[int, int] = {}
         self._targets: dict[int, tuple[int, ...]] = {}
 
-    def _ids_of(self, allowed: Optional[Allowed]) -> tuple[int, ...]:
-        """Ids of the states `allowed` admits, in enumeration order."""
-        if allowed is None:
-            return ()
-        vecs = self._tables.states(allowed)
-        get = self._ids.get
-        out = tuple(map(get, vecs))
+    def _ids_of(self, allowed: int) -> tuple[int, ...]:
+        """Ids of the states whose marks `allowed` admits (packed as by
+        `pack`), in enumeration order."""
+        leaves = self._tables.walk(allowed)
+        get = self._state_of.get
+        out = tuple(map(get, leaves))
         if None in out:
-            new = [vec for vec, sid in zip(vecs, out) if sid is None]
-            first = len(self.marks)
-            self._ids.update(zip(new, range(first, first + len(new))))
-            self.marks += map(self._rules.acceptance_mask, new)
-            mask_ids = self._mask_ids
-            self._mask_of += [
-                mask_ids.setdefault(mask, len(mask_ids))
-                for mask in map(self._rules.successor_allowed, new)
-            ]
-            self._masks += islice(mask_ids, len(self._masks), None)
-            out = tuple(map(get, vecs))
+            new = [leaf for leaf, sid in zip(leaves, out) if sid is None]
+            first = len(self._leaves)
+            self._state_of.update(zip(new, range(first, first + len(new))))
+            self._leaves += new
+            keys = list(map(self._tables.keys.__getitem__, new))
+            shift, marks = self._link_bits.bit_length(), self.all_marks
+            self.marks += [key >> shift & marks for key in keys]
+            links = list(map(self._link_bits.__and__, keys))
+            self._links += map(self._distinct.setdefault, links, links)
+            out = tuple(map(get, leaves))
         return out
 
     def roots(self, value: Truth, letter: int) -> tuple[int, ...]:
         """Initial states of the automaton for `value` with pattern `letter`."""
         idx, wanted = _initial_mark(self.closure, value)
-        allowed = [ANY] * len(self.closure.bases)
-        allowed[idx] = 1 << wanted
-        return self._ids_of(_pin(allowed, self._pins[letter]))
+        at = slot(len(self.closure.bases), idx)
+        held = ~(ANY << at) | 1 << wanted << at
+        return self._ids_of(self._pins[letter] & held)
 
     def targets(self, q: int, letter: int) -> tuple[int, ...]:
         """Successors of state q with pattern `letter`."""
-        mask_id = self._mask_of[q]
-        key = mask_id * self.nletters + letter
-        found = self._targets.get(key)
+        allowed = self._links[q] & self._pins[letter]
+        found = self._targets.get(allowed)
         if found is None:
-            allowed = self._masks[mask_id]
-            if allowed is not None:
-                allowed = _pin(allowed, self._pins[letter])
-            found = self._targets[key] = self._ids_of(allowed)
+            found = self._targets[allowed] = self._ids_of(allowed)
         return found
 
 
@@ -313,19 +356,30 @@ def _read_in_full(
     alphabet = tuple(alphabet)
     closure = checked_closure(psi, alphabet, cap)
     family = LazyFamily(closure, [None])
-    family._ids_of([ANY] * len(closure.bases))
-    states = tuple(family._ids)
-    marks = family.marks
-    # One object per distinct pattern, so the collector tracks fewer.
-    distinct: dict[Letter, Letter] = {}
-    patterns = tuple(
-        distinct.setdefault(p, p) for p in map(state_pattern, states, repeat(closure))
+    family._ids_of(family._pins[0])
+    tables = family._tables
+    states = tuple(map(tables.vecs.__getitem__, family._leaves))
+    # One Letter per distinct pattern key, the key bits above the marks.
+    shift = family._link_bits.bit_length() + family.all_marks.bit_length()
+    pattern_keys = list(
+        map(int.__rshift__, map(tables.keys.__getitem__, family._leaves), repeat(shift))
     )
-    succ = tuple(family.targets(q, 0) for q in range(len(states)))
+    letters = {
+        key: state_pattern(vec, closure) for key, vec in dict(zip(pattern_keys, states)).items()
+    }
+    patterns = tuple(map(letters.__getitem__, pattern_keys))
+    # The pinless letter allows every mark, so a state's linkage mask is
+    # the whole walk: one successor tuple per distinct mask.
+    get = family._state_of.__getitem__
+    links = sorted(family._distinct)
+    by_link = {link: tuple(map(get, tables.walk(link))) for link in links}
+    succ = tuple(map(by_link.__getitem__, family._links))
+    marks = family.marks
     acceptance = tuple(
-        frozenset(q for q, mark in enumerate(marks) if mark >> k & 1)
+        frozenset(compress(range(len(marks)), map((1 << k).__and__, marks)))
         for k in range(len(closure.untils) + 1)
     )
+    labels = tuple(tables.labels(closure))
     return {
         value: Gnba(
             closure=closure,
@@ -335,6 +389,7 @@ def _read_in_full(
             patterns=patterns,
             succ=succ,
             acceptance=acceptance,
+            labels=labels,
         )
         for value in values
     }

@@ -464,8 +464,10 @@ class Closure:
         )
         #: Rendered text of each base and of its negation, in base order.
         self.base_texts: tuple[str, ...] = tuple(text[b] for b in self.bases)
+        # A base is never negation-rooted, so its negation prints as
+        # `format_formula(Not(b))` does: "!" and the base's text, wrapped.
         self.negated_texts: tuple[str, ...] = tuple(
-            format_formula(negated(b)) for b in self.bases
+            "!" + (text[b] if _prec(b) >= 3 else f"({text[b]})") for b in self.bases
         )
         self.index: dict[Formula, int] = {b: i for i, b in enumerate(self.bases)}
 

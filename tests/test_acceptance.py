@@ -217,22 +217,38 @@ def test_criterion_5_two_valued_conformance(corpus_matrix):
     )
 
 
+def _build_times(psis, samples: int = 5, least: float = 0.01) -> list[float]:
+    """Seconds per `build_automaton` of each of `psis`, as the best of
+    `samples` samples.  Each sample repeats one build until it has lasted
+    at least `least` seconds and divides by the count, as
+    `timeit.Timer.autorange` does, so a build of a millisecond is not
+    timed alone.  The samples of all formulas take turns, so a slow
+    stretch of a shared host falls on every formula alike rather than on
+    the one being timed."""
+    best = [float("inf")] * len(psis)
+    for _ in range(samples):
+        for i, psi in enumerate(psis):
+            count = 0
+            started = perf_counter()
+            while True:
+                build_automaton(psi, ["a"], Truth.UNKNOWN)
+                count += 1
+                elapsed = perf_counter() - started
+                if elapsed >= least:
+                    break
+            best[i] = min(best[i], elapsed / count)
+    return best
+
+
 def test_criterion_6_exponential_scaling():
     """The next-operator chain family: exact 3^(k+1) state counts and
     superlinear construction time."""
-    times = {}
-    counts_ok = True
-    for k in range(1, 9):
-        psi = parse_core("X " * k + "a")
-        repeats = 5 if k <= 5 else (2 if k == 6 else 1)
-        best = float("inf")
-        for _ in range(repeats):
-            started = perf_counter()
-            g = build_automaton(psi, ["a"], Truth.UNKNOWN)
-            best = min(best, perf_counter() - started)
-        if len(g.states) != 3 ** (k + 1):
-            counts_ok = False
-        times[k] = best
+    chain = {k: parse_core("X " * k + "a") for k in range(1, 9)}
+    counts_ok = all(
+        len(build_automaton(psi, ["a"], Truth.UNKNOWN).states) == 3 ** (k + 1)
+        for k, psi in chain.items()
+    )
+    times = dict(zip(chain, _build_times(list(chain.values()))))
     ratios = {k: times[k] / times[k - 1] for k in range(4, 9)}
     ratios_ok = all(r >= 2.0 for r in ratios.values())
     detail = ", ".join(f"t{k}/t{k - 1}={r:.1f}" for k, r in ratios.items())

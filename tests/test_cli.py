@@ -26,6 +26,7 @@ def refuse_enumeration(monkeypatch):
         raise RuntimeError("enumerated before the cap check")
 
     monkeypatch.setattr(elementary.Tables, "states", refuse)
+    monkeypatch.setattr(elementary.Tables, "walk", refuse)
     monkeypatch.setattr(elementary, "enumerate_states", refuse)
     monkeypatch.setattr(gnba, "enumerate_states", refuse)
 

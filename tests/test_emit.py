@@ -1,16 +1,35 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from triltl import (
     HoaFormatError,
     TRUE,
     Truth,
+    atoms_of,
     build_automaton,
+    format_state,
     parse_core,
     read_hoa,
     to_dot,
     to_hoa,
 )
-from helpers import validate_dot
+from helpers import CORPUS, validate_dot
+
+#: The X^k a chain and the acceptance corpus, each over its own atoms.
+PINNED_FORMULAS = tuple(dict.fromkeys(["X " * k + "a" for k in range(1, 7)] + list(CORPUS)))
+
+#: sha1 of the HOA and DOT text of each pinned formula's automaton per
+#: truth value, as the emitters wrote them before the construction was
+#: rebuilt on a prefix trie.
+GOLDEN = json.loads((Path(__file__).parent / "emit_sha1.json").read_text(encoding="utf-8"))
+
+
+def pinned_automaton(text, value):
+    psi = parse_core(text)
+    return build_automaton(psi, tuple(sorted(atoms_of(psi))), value)
 
 
 def example_automaton(value=Truth.UNKNOWN):
@@ -127,3 +146,33 @@ class TestHoa:
         )
         with pytest.raises(HoaFormatError, match="both"):
             read_hoa(doc)
+
+
+class TestGoldenBytes:
+    """State numbering, labels, edges and both texts stay byte for byte
+    what they were."""
+
+    def test_every_pinned_formula_has_digests(self):
+        assert list(GOLDEN) == list(PINNED_FORMULAS)
+
+    @pytest.mark.parametrize("text", PINNED_FORMULAS)
+    def test_hoa_and_dot_digests(self, text):
+        for value in Truth:
+            g = pinned_automaton(text, value)
+            digests = [
+                hashlib.sha1(emit(g).encode("utf-8")).hexdigest() for emit in (to_hoa, to_dot)
+            ]
+            assert digests == GOLDEN[text][value.name], value
+
+
+class TestLabels:
+    """The labels the construction renders once are `format_state` of
+    each state, and the HOA state names carry them."""
+
+    @pytest.mark.parametrize("text", PINNED_FORMULAS)
+    def test_labels_match_format_state_and_hoa_names(self, text):
+        for value in Truth:
+            g = pinned_automaton(text, value)
+            expected = [format_state(vec, g.closure) for vec in g.states]
+            assert [g.state_label(q) for q in range(len(g.states))] == expected
+            assert list(read_hoa(to_hoa(g)).state_names) == expected

@@ -207,7 +207,7 @@ class TestLazyFamily:
         lazy = LazyFamily(eager.closure, letters)
 
         def as_eager(ids):
-            vec_of = {sid: vec for vec, sid in lazy._ids.items()}
+            vec_of = [lazy._tables.vecs[leaf] for leaf in lazy._leaves]
             return [eager_id[vec_of[sid]] for sid in ids]
 
         def filtered(ids, letter):

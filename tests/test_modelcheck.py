@@ -3,6 +3,7 @@ import random
 import pytest
 
 from triltl import (
+    DEFAULT_CANDIDATE_CAP,
     ModelFormatError,
     Truth,
     Verdict,
@@ -319,6 +320,64 @@ class TestLazyCheck:
     def test_duplicate_alphabet_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             check_model(TWO_STATE, parse_core("G a"), ["a", "a"])
+
+
+def _read(family, letters):
+    """Every state the family reaches from the roots of all three
+    automata through `letters`, with each state's successors through
+    those letters."""
+    todo = [q for value in Truth for l in letters for q in family.roots(value, l)]
+    seen = set(todo)
+    while todo:
+        q = todo.pop()
+        for l in letters:
+            fresh = [t for t in family.targets(q, l) if t not in seen]
+            seen.update(fresh)
+            todo += fresh
+
+
+def _vectors(family):
+    """The vector of each state the family has built, by state id."""
+    return [family._tables.vecs[leaf] for leaf in family._leaves]
+
+
+def _by_vector(family, full):
+    """Per state vector: its successor vectors through letter `full`, in
+    order, and its acceptance marks."""
+    vec_of = _vectors(family)
+    return {
+        vec_of[q]: ([vec_of[t] for t in family.targets(q, full)], family.marks[q])
+        for q in range(len(family.marks))
+    }
+
+
+class TestTrieOrder:
+    """A lazy family whose trie was first walked through a model's
+    letters, so that its leaves were reached out of lexicographic order,
+    and then read in full, lists every state's successors and marks as a
+    fresh full read does."""
+
+    def test_pinned_then_full_read_equals_a_fresh_full_read(self):
+        out_of_order = 0
+        for text in CORPUS:
+            psi = parse_core(text)
+            for model in SMALL_MODELS:
+                alphabet = tuple(sorted(atoms_of(psi) | model.label_atoms()))
+                closure = gnba.checked_closure(psi, alphabet, DEFAULT_CANDIDATE_CAP)
+                letters = list(
+                    dict.fromkeys(letter_of(model, s, closure.atoms) for s in model.states)
+                )
+                pinned = gnba.LazyFamily(closure, letters + [None])
+                _read(pinned, range(len(letters)))
+                _read(pinned, [len(letters)])
+                fresh = gnba.LazyFamily(closure, [None])
+                _read(fresh, [0])
+                assert _by_vector(pinned, len(letters)) == _by_vector(fresh, 0)
+                vecs = _vectors(pinned)
+                # Each state is built once, however the walks reached it.
+                assert len(set(vecs)) == len(vecs) == len(_vectors(fresh))
+                out_of_order += vecs != sorted(vecs)
+        assert out_of_order
 
 
 def _model_lassos(model, max_stem, max_loop):
