@@ -88,20 +88,15 @@ def _layout(choices: _Choices) -> tuple:
     """How a node expands, per operand-mark index ix, by the marks of
     `choices[ix]`: `choices` itself; per bit set of marks (0 to `ANY`),
     the offsets from the node's first child of the children whose mark
-    is in the set; the one-mark suffixes of the children's vectors; the
-    index 3 * ix + m of each child's key constant; and per bit set, the
-    suffixes of the marks in the set, for `Tables.states`."""
+    is in the set; the one-mark suffixes of the children's vectors; and
+    the index 3 * ix + m of each child's key constant."""
     select = tuple(
         tuple(tuple(j for j, m in enumerate(marks) if bits >> m & 1) for marks in choices)
         for bits in range(ANY + 1)
     )
     suffixes = tuple(tuple((m,) for m in marks) for marks in choices)
     slots = tuple(tuple(3 * ix + m for m in marks) for ix, marks in enumerate(choices))
-    restricted = tuple(
-        tuple(tuple(row[j] for j in offsets) for row, offsets in zip(suffixes, chosen))
-        for chosen in select
-    )
-    return choices, select, suffixes, slots, restricted
+    return choices, select, suffixes, slots
 
 
 #: The layouts of a base without operands, and of the constant true.
@@ -157,7 +152,7 @@ class Tables:
     `keys[node]` its key: the parent's key AND-ed with
     `level_keys[i][3 * ix + m]` for the child's mark m (a level given as
     None, or no `level_keys`, keeps every key), and `root_key` for node
-    0.  `walk` reads the trie; `states` enumerates without it.
+    0.  `walk` is the one enumerator of elementary sets.
     """
 
     __slots__ = ("levels", "vecs", "keys", "kids", "_shifts", "_lead", "_walked")
@@ -193,7 +188,7 @@ class Tables:
 
     def _expand(self, depth: int, nodes: list[int]) -> None:
         """Expand the nodes of `nodes` (all at `depth`) not expanded yet."""
-        l, r, _, _, suffixes, slots, _, consts = self.levels[depth]
+        l, r, _, _, suffixes, slots, consts = self.levels[depth]
         vecs, keys, kids = self.vecs, self.keys, self.kids
         todo = [node for node in nodes if node not in kids]
         parents = list(map(vecs.__getitem__, todo))
@@ -246,27 +241,6 @@ class Tables:
                 break
         return nodes
 
-    def states(self, allowed: Optional[Sequence[int]] = None) -> list[StateVec]:
-        """All elementary sets, optionally restricted per coordinate.
-
-        `allowed[i]`, when given, is the bit set of marks coordinate i
-        may take (bit m for mark m, `ANY` for every mark).  Results come
-        out in lexicographic order of the assignment vector (absent <
-        positive < negative): bases are sorted so that operands precede
-        compounds, and each level extends the ordered prefixes of the
-        previous one in mark order.  This builds the prefixes afresh,
-        without the trie, so the per-state reference functions that the
-        tests hold `walk` to do not share its code.
-        """
-        prefixes: list[StateVec] = [()]
-        for i, (l, r, *_, restricted, _) in enumerate(self.levels):
-            table = restricted[ANY if allowed is None else allowed[i]]
-            if l is None:
-                prefixes = [p + s for p in prefixes for s in table[0]]
-            else:
-                prefixes = [p + s for p in prefixes for s in table[3 * p[l] + p[r]]]
-        return prefixes
-
     def labels(self, closure: Closure) -> list[str]:
         """`format_state` of every leaf, in lexicographic order, each
         made once from its parent's text and its own member's text.  The
@@ -284,14 +258,6 @@ class Tables:
         return ["{" + text[2:] + "}" if text else "∅" for text in texts]
 
 
-def enumerate_states(
-    closure: Closure, allowed: Optional[Sequence[int]] = None
-) -> list[StateVec]:
-    """All elementary sets, optionally restricted per coordinate; see
-    `Tables.states`."""
-    return Tables(closure).states(allowed)
-
-
 def check_candidate_cap(closure: Closure, cap: int) -> None:
     """Raise StateSpaceLimitError when 3^(number of bases) exceeds `cap`."""
     candidates = 3 ** len(closure.bases)
@@ -305,12 +271,14 @@ def check_candidate_cap(closure: Closure, cap: int) -> None:
 def enumerate_elementary(
     closure: Closure, cap: int = DEFAULT_CANDIDATE_CAP
 ) -> list[StateVec]:
-    """All elementary sets of the closure, in deterministic order.
+    """All elementary sets of the closure, in lexicographic order: the
+    leaves of one walk that allows every mark.
 
     Raises StateSpaceLimitError when 3^(number of bases) exceeds `cap`.
     """
     check_candidate_cap(closure, cap)
-    return enumerate_states(closure)
+    tables = Tables(closure)
+    return list(map(tables.vecs.__getitem__, tables.walk((1 << 3 * len(closure.bases)) - 1)))
 
 
 def state_members(vec: Sequence[int], closure: Closure) -> tuple[Formula, ...]:

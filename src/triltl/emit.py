@@ -13,6 +13,7 @@ both false); both true never occurs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .gnba import Gnba
 from .letters import Letter, format_letter
@@ -179,11 +180,29 @@ def _parse_label(expr: str, ap: tuple[str, ...]) -> Letter:
     return frozenset(literals)
 
 
+def _number(text: str, what: str, bound: Optional[int] = None) -> int:
+    """`text` as a decimal number, below `bound` when one is given."""
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()) or bound is not None and int(text) >= bound:
+        below = "" if bound is None else f" below {bound}"
+        raise HoaFormatError(f"{what} {text!r} is not a number{below}")
+    return int(text)
+
+
+def _quoted(text: str) -> tuple[str, str]:
+    """The double-quoted string `text` starts with, and the rest, stripped."""
+    end = text.find('"', 1)
+    if not text.startswith('"') or end < 0:
+        raise HoaFormatError(f"expected a quoted name at {text!r}")
+    return text[1:end], text[end + 1 :].strip()
+
+
 def read_hoa(text: str) -> HoaAutomaton:
     """Parse the dialect produced by to_hoa.
 
     This is deliberately a subset reader: it understands exactly the
-    headers and body statements the emitter writes.
+    headers and body statements the emitter writes, and raises
+    HoaFormatError on anything else, out-of-range ids included.
     """
     lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line]
@@ -191,7 +210,7 @@ def read_hoa(text: str) -> HoaAutomaton:
         raise HoaFormatError("missing HOA: v1 header")
 
     num_states = None
-    initial: set[int] = set()
+    starts: list[str] = []
     ap: tuple[str, ...] = ()
     acceptance_count = None
     i = 1
@@ -199,26 +218,21 @@ def read_hoa(text: str) -> HoaAutomaton:
         line = lines[i]
         i += 1
         if line.startswith("States:"):
-            num_states = int(line.split(":", 1)[1])
+            num_states = _number(line[len("States:") :], "state count")
         elif line.startswith("Start:"):
-            initial.add(int(line.split(":", 1)[1]))
+            starts.append(line[len("Start:") :])
         elif line.startswith("AP:"):
-            parts = line.split(None, 2)
-            count = int(parts[1])
+            count, _, rest = line[len("AP:") :].strip().partition(" ")
             names = []
-            rest = parts[2] if len(parts) > 2 else ""
-            while rest:
-                rest = rest.lstrip()
-                if not rest.startswith('"'):
-                    raise HoaFormatError(f"bad AP list near {rest!r}")
-                end = rest.index('"', 1)
-                names.append(rest[1:end])
-                rest = rest[end + 1 :]
-            if len(names) != count:
+            while rest.strip():
+                name, rest = _quoted(rest.strip())
+                names.append(name)
+            if len(names) != _number(count, "AP count"):
                 raise HoaFormatError("AP count does not match the name list")
             ap = tuple(names)
         elif line.startswith("Acceptance:"):
-            acceptance_count = int(line.split(":", 1)[1].split(None, 1)[0])
+            count = line[len("Acceptance:") :].strip().partition(" ")[0]
+            acceptance_count = _number(count, "acceptance count")
         elif line.startswith("acc-name:") or line.startswith("properties:"):
             continue
         else:
@@ -227,6 +241,7 @@ def read_hoa(text: str) -> HoaAutomaton:
         raise HoaFormatError("missing States: or Acceptance: header")
     if i == len(lines):
         raise HoaFormatError("missing --BODY--")
+    initial = frozenset({_number(start, "start state", num_states) for start in starts})
 
     state_acc: list[frozenset[int]] = [frozenset()] * num_states
     state_names: list[str] = [""] * num_states
@@ -238,34 +253,26 @@ def read_hoa(text: str) -> HoaAutomaton:
         if line == "--END--":
             break
         if line.startswith("State:"):
-            rest = line[len("State:") :].strip()
-            parts = rest.split(None, 1)
-            current = int(parts[0])
-            if current >= num_states:
-                raise HoaFormatError(f"state {current} out of range")
-            rest = parts[1] if len(parts) > 1 else ""
-            name = ""
-            if rest.startswith('"'):
-                end = rest.index('"', 1)
-                name = rest[1:end]
-                rest = rest[end + 1 :].strip()
-            state_names[current] = name
+            number, _, rest = line[len("State:") :].strip().partition(" ")
+            current = _number(number, "state", num_states)
+            rest = rest.strip()
+            state_names[current], rest = _quoted(rest) if rest.startswith('"') else ("", rest)
             if rest.startswith("{") and rest.endswith("}"):
-                body = rest[1:-1].strip()
                 state_acc[current] = frozenset(
-                    int(tok) for tok in body.split()
-                ) if body else frozenset()
+                    _number(tok, "acceptance set", acceptance_count) for tok in rest[1:-1].split()
+                )
             elif rest:
                 raise HoaFormatError(f"unsupported state suffix {rest!r}")
         elif line.startswith("["):
             if current is None:
                 raise HoaFormatError("edge before any State:")
-            end = line.index("]")
-            text = line[1:end]
-            pattern = labels.get(text)
+            label, closed, target = line[1:].partition("]")
+            if not closed:
+                raise HoaFormatError(f"unterminated edge label in {line!r}")
+            pattern = labels.get(label)
             if pattern is None:
-                pattern = labels[text] = _parse_label(text, ap)
-            edges.append((current, pattern, int(line[end + 1 :].strip())))
+                pattern = labels[label] = _parse_label(label, ap)
+            edges.append((current, pattern, _number(target, "edge target", num_states)))
         else:
             raise HoaFormatError(f"unsupported body line {line!r}")
     else:
@@ -274,7 +281,7 @@ def read_hoa(text: str) -> HoaAutomaton:
     return HoaAutomaton(
         num_states=num_states,
         ap=ap,
-        initial=frozenset(initial),
+        initial=initial,
         acceptance_count=acceptance_count,
         state_acceptance=tuple(state_acc),
         state_names=tuple(state_names),

@@ -29,7 +29,7 @@ from .elementary import (
     StateVec,
     Tables,
     check_candidate_cap,
-    enumerate_states,
+    pack,
     signed,
     slot,
 )
@@ -46,7 +46,7 @@ def state_pattern(vec: Sequence[int], closure: Closure) -> Letter:
 
 
 # The linkage and acceptance rules, over the marks of an until base u
-# and of its operands as referenced.  The tables below are read from them.
+# and of its operands as referenced.  The key table below is read from them.
 
 
 def _until_links(u: int, l: int, r: int, x: int) -> bool:
@@ -65,85 +65,30 @@ def _fulfils(u: int, r: int) -> bool:
 
 
 @cache
-def _until_link_table(lpos: bool, rpos: bool) -> tuple[int, ...]:
-    """Bit sets of the marks `_until_links` allows the successor's u,
-    indexed by 9 * (u's mark) + 3 * (left operand's base mark) + (right's)."""
-    return tuple(
-        sum(1 << x for x in MARKS if _until_links(u, signed(l, lpos), signed(r, rpos), x))
-        for u, l, r in product(MARKS, repeat=3)
-    )
-
-
-@cache
-def _fulfils_table(rpos: bool) -> tuple[int, ...]:
-    """1 where `_fulfils` holds, else 0, indexed by 3 * (u's mark) +
-    (right operand's base mark)."""
-    return tuple(int(_fulfils(u, signed(m, rpos))) for u in MARKS for m in MARKS)
-
-
-@cache
 def _until_key_table(lpos: bool, rpos: bool) -> tuple[int, ...]:
     """Per index 3 * (3 * l + r) + u of an until level's key constants
     (see `_level_keys`), the bit set `_until_links` allows the
     successor's u, plus 8 if `_fulfils` holds."""
-    links, fulfils = _until_link_table(lpos, rpos), _fulfils_table(rpos)
     return tuple(
-        links[9 * u + 3 * l + r] + 8 * fulfils[3 * u + r] for l, r, u in product(MARKS, repeat=3)
+        sum(1 << x for x in MARKS if _until_links(u, signed(l, lpos), signed(r, rpos), x))
+        + 8 * _fulfils(u, signed(r, rpos))
+        for l, r, u in product(MARKS, repeat=3)
     )
-
-
-#: Per mark of an X base, its operand's mark bit, by the operand's sign.
-_NEXT_BITS = {positive: tuple(1 << signed(m, positive) for m in MARKS) for positive in (True, False)}
-
-
-class _Rules:
-    """A closure's linkage and acceptance rules as flat tables."""
-
-    __slots__ = ("nexts", "untils", "accept", "full")
-
-    def __init__(self, closure: Closure):
-        #: Per X base i with operand j: j's mark bit per mark of i.
-        self.nexts = tuple((i, j, _NEXT_BITS[positive]) for i, (j, positive) in closure.nexts)
-        self.untils = tuple(
-            (i, l, r, _until_link_table(lpos, rpos))
-            for i, (l, lpos), (r, rpos) in closure.untils
-        )
-        #: Per until base i, `_fulfils_table` of its right operand r.
-        self.accept = tuple((i, r, _fulfils_table(rpos)) for i, _l, (r, rpos) in closure.untils)
-        self.full = 1 << len(closure.untils)
-
-    def successor_allowed(self, vec: StateVec) -> Optional[tuple[int, ...]]:
-        """Per-coordinate bit sets of the marks a successor state may take
-        (see `Tables.states`), or None if no successor can satisfy the
-        next/until linkage."""
-        allowed = [ANY] * len(vec)
-        for i, j, bits in self.nexts:
-            allowed[j] &= bits[vec[i]]
-        for i, l, r, table in self.untils:
-            allowed[i] &= table[9 * vec[i] + 3 * vec[l] + vec[r]]
-        return None if 0 in allowed else tuple(allowed)
-
-    def acceptance_mask(self, vec: StateVec) -> int:
-        """The sets of `acceptance_sets` that hold `vec`, bit k for set k."""
-        mask = self.full
-        for k, (i, r, table) in enumerate(self.accept):
-            mask |= table[3 * vec[i] + vec[r]] << k
-        return mask
 
 
 def _level_keys(closure: Closure) -> tuple[list[Optional[list[int]]], int]:
     """The key constants of a `Tables` trie whose leaf keys hold, in one
     int, a state's linkage mask, acceptance mask and pattern.
 
-    The low 3n bits of a leaf's key are the marks a successor may give
-    each coordinate, packed as by `pack`: `_Rules.successor_allowed`.
-    The next bits are `_Rules.acceptance_mask`, and above them 3 bits
-    per atom coordinate hold the atom's mark as one bit.  Each part is
-    read from the tables above, once per (level, mark, operand marks)
-    instead of once per state: an `X` base sets its operand's successor
-    marks, an until base its own successor marks and its acceptance bit,
-    and an atom its pattern bits.  Returns the constants per level (None
-    where a level keeps every key) and the root key.
+    The low 3n bits of a leaf's key are the marks the linkage lets a
+    successor give each coordinate, packed as by `pack`; the next bits
+    its acceptance mask, bit k for set k of `acceptance_sets`; and 3
+    bits per atom coordinate above them the atom's mark as one bit.
+    Each part is read once per (level, mark, operand marks) instead of
+    once per state: an `X` base sets its operand's successor marks, an
+    until base its own successor marks and its acceptance bit, and an
+    atom its pattern bits.  Returns the constants per level (None where
+    a level keeps every key) and the root key.
     """
     n = len(closure.bases)
     pattern_at = 3 * n + len(closure.untils) + 1
@@ -151,7 +96,7 @@ def _level_keys(closure: Closure) -> tuple[list[Optional[list[int]]], int]:
     consts: list[Optional[list[int]]] = [None] * n
     for i, (j, positive) in closure.nexts:
         at = slot(n, j)
-        consts[i] = [root ^ ANY << at | b << at for b in _NEXT_BITS[positive]]
+        consts[i] = [root ^ ANY << at | 1 << signed(m, positive) << at for m in MARKS]
     for a, (i, _name) in enumerate(closure.atom_coords):
         at = pattern_at + 3 * a
         consts[i] = [root ^ ANY << at | 1 << m << at for m in MARKS]
@@ -163,34 +108,6 @@ def _level_keys(closure: Closure) -> tuple[list[Optional[list[int]]], int]:
         made += [keep | fulfilled for keep in made]
         consts[i] = list(map(made.__getitem__, _until_key_table(lpos, rpos)))
     return consts, root
-
-
-def successors(vec: StateVec, letter: Letter, closure: Closure) -> list[StateVec]:
-    """States reachable from `vec` when reading `letter`.
-
-    Empty unless the letter, restricted to the closure's atoms, equals
-    the state's own literal pattern; otherwise all elementary states
-    whose marks satisfy the next/until linkage with `vec`.
-    """
-    if restrict_letter(letter, closure.atoms) != state_pattern(vec, closure):
-        return []
-    allowed = _Rules(closure).successor_allowed(vec)
-    if allowed is None:
-        return []
-    return enumerate_states(closure, allowed)
-
-
-def acceptance_sets(
-    states: Sequence[StateVec], closure: Closure
-) -> list[frozenset[int]]:
-    """One acceptance set per until base, in closure order, then the
-    full state set."""
-    rules = _Rules(closure)
-    masks = [rules.acceptance_mask(vec) for vec in states]
-    return [
-        frozenset(q for q, mask in enumerate(masks) if mask >> k & 1)
-        for k in range(len(closure.untils) + 1)
-    ]
 
 
 @dataclass(frozen=True)
@@ -345,6 +262,43 @@ class LazyFamily:
         if found is None:
             found = self._targets[allowed] = self._ids_of(allowed)
         return found
+
+
+def _state_id(family: LazyFamily, vec: Sequence[int]) -> int:
+    """`vec`'s state id: the one leaf a walk of its exact mask yields."""
+    well_formed = len(vec) == len(family.closure.bases) and set(vec) <= set(MARKS)
+    found = family._ids_of(pack([1 << m for m in vec])) if well_formed else ()
+    if not found:
+        raise ValueError(f"{tuple(vec)!r} is not an elementary set of the closure")
+    return found[0]
+
+
+def successors(vec: StateVec, letter: Letter, closure: Closure) -> list[StateVec]:
+    """States reachable from `vec` when reading `letter`.
+
+    Empty unless the letter, restricted to the closure's atoms, equals
+    the state's own literal pattern; otherwise all elementary states
+    whose marks satisfy the next/until linkage with `vec`.  Raises
+    ValueError when `vec` is not an elementary set.
+    """
+    family = LazyFamily(closure, [None])
+    q = _state_id(family, vec)
+    if restrict_letter(letter, closure.atoms) != state_pattern(vec, closure):
+        return []
+    return [family._tables.vecs[family._leaves[t]] for t in family.targets(q, 0)]
+
+
+def acceptance_sets(
+    states: Sequence[StateVec], closure: Closure
+) -> list[frozenset[int]]:
+    """One acceptance set per until base, in closure order, then the
+    full state set.  Raises ValueError as `successors` does."""
+    family = LazyFamily(closure, [None])
+    masks = [family.marks[_state_id(family, vec)] for vec in states]
+    return [
+        frozenset(q for q, mask in enumerate(masks) if mask >> k & 1)
+        for k in range(len(closure.untils) + 1)
+    ]
 
 
 def _read_in_full(

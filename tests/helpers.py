@@ -136,15 +136,18 @@ def _has(closure: Closure, vec: tuple[int, ...], g: Formula) -> bool:
     return vec[closure.index[g]] == POS
 
 
-def naive_successors(closure: Closure, vec: tuple[int, ...]) -> list[tuple[int, ...]]:
+def naive_successors(
+    closure: Closure, vec: tuple[int, ...], candidates=None
+) -> list[tuple[int, ...]]:
     """The elementary sets w that may follow `vec`, in sorted order.
 
     X g is in vec iff g is in w, and !X g iff !g is in w.  For every
     until u = l U r: u is in vec iff r is, or l is and u is in w; !u is
-    in vec iff !r is, and !l is or !u is in w.
+    in vec iff !r is, and !l is or !u is in w.  `candidates`, when
+    given, is `naive_elementary(closure)`, computed once by the caller.
     """
     out = []
-    for w in naive_elementary(closure):
+    for w in naive_elementary(closure) if candidates is None else candidates:
         ok = True
         for base in closure.bases:
             if isinstance(base, Next):

@@ -18,7 +18,7 @@ from triltl import (
     parse_core,
     state_members,
 )
-from triltl.elementary import ANY, enumerate_states
+from triltl.elementary import ANY, Tables, pack
 from helpers import CORPUS, naive_elementary, small_formulas, vec_of
 
 A = Atom("a")
@@ -164,8 +164,9 @@ class TestEnumeration:
             for vec in sorted(naive_elementary(c))
             if all(bits >> mark & 1 for bits, mark in zip(allowed, vec))
         ]
-        assert enumerate_states(c, allowed) == expected
-        assert enumerate_states(c) == sorted(naive_elementary(c))
+        tables = Tables(c)
+        assert [tables.vecs[leaf] for leaf in tables.walk(pack(allowed))] == expected
+        assert enumerate_elementary(c) == sorted(naive_elementary(c))
 
     @settings(max_examples=60, deadline=None)
     @given(small_formulas)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,27 @@ class TestHoa:
             read_hoa("HOA: v1\nStates: 1\n--BODY--\nState: 0\n[t] 0\n")  # no Acceptance
         with pytest.raises(HoaFormatError):
             read_hoa("not hoa at all")
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ('State: 8 "', 'State: -1 "', "state '-1'"),
+            ("[!0 & 1] 8\n--END--", "[!0 & 1] 99\n--END--", "edge target '99'"),
+            ("Start: 6", "Start: 91", "start state '91'"),
+            ('State: 0 "∅" {0}', 'State: 0 "∅" {7}', "acceptance set '7'"),
+            ('State: 0 "∅" {0}', 'State: 0 "∅ {0}', "quoted name"),
+            ('"a__neg"', '"a__neg', "quoted name"),
+            ("States: 9", "States: nine", "state count 'nine'"),
+            ("Acceptance: 1 Inf(0)", "Acceptance: Inf(0)", "acceptance count"),
+            ("[!0 & 1] 8\n--END--", "[!0 & 1 8\n--END--", "unterminated edge label"),
+        ],
+    )
+    def test_reader_rejects_malformed_fields(self, old, new, message):
+        doc = to_hoa(example_automaton())
+        assert read_hoa(doc).num_states == 9
+        assert doc.count(old) == 1
+        with pytest.raises(HoaFormatError, match=re.escape(message)):
+            read_hoa(doc.replace(old, new))
 
     def test_reader_rejects_contradictory_labels(self):
         doc = (

@@ -23,11 +23,12 @@ from triltl import (
     successors,
 )
 from triltl.gnba import LazyFamily, build_family
-from triltl.letters import all_letters
+from triltl.letters import all_letters, restrict_letter
 from helpers import (
     CORPUS,
     gnba_accepts_lasso,
     naive_acceptance,
+    naive_elementary,
     naive_successors,
     small_formulas,
     vec_of,
@@ -181,16 +182,41 @@ class TestSuccessors:
         psi = parse_core(text)
         family = build_family(psi, sorted(atoms_of(psi)))
         g = family[Truth.TRUE]
+        closure = g.closure
+        candidates = naive_elementary(closure)
         ids = {vec: sid for sid, vec in enumerate(g.states)}
         expected = [
-            tuple(ids[nxt] for nxt in successors(vec, g.patterns[sid], g.closure))
-            for sid, vec in enumerate(g.states)
+            tuple(ids[nxt] for nxt in naive_successors(closure, vec, candidates))
+            for vec in g.states
         ]
         for value in Truth:
             assert list(family[value].succ) == expected
-            assert family[value].acceptance == tuple(
-                acceptance_sets(g.states, g.closure)
-            )
+            assert family[value].acceptance == naive_acceptance(closure, g.states)
+
+    @pytest.mark.parametrize("text", ["!(a U b)", "a R (b U a)"])
+    def test_successors_match_the_oracle_under_negated_untils(self, text):
+        c = closure_of(parse_core(text))
+        candidates = naive_elementary(c)
+        for vec in sorted(candidates):
+            expected = naive_successors(c, vec, candidates)
+            assert successors(vec, state_pattern(vec, c), c) == expected
+        states = sorted(candidates, reverse=True)
+        assert tuple(acceptance_sets(states, c)) == naive_acceptance(c, states)
+
+    @pytest.mark.parametrize(
+        "vec",
+        [
+            (ABSENT, POS, ABSENT),  # b present forces a U b present
+            (ABSENT, ABSENT),  # one coordinate short
+            (ABSENT, ABSENT, 3),  # not a mark
+        ],
+    )
+    def test_non_elementary_vectors_are_refused(self, vec):
+        c = closure_of(parse_core("a U b"))
+        with pytest.raises(ValueError, match="not an elementary set"):
+            successors(vec, letter(), c)
+        with pytest.raises(ValueError, match="not an elementary set"):
+            acceptance_sets([(ABSENT,) * 3, vec], c)
 
 
 class TestLazyFamily:
@@ -299,8 +325,15 @@ class TestDegeneralize:
         for value in Truth:
             g = build_automaton(psi, alphabet, value)
             n = degeneralize(g)
+            atoms = set(g.closure.atoms)
+            # The oracle reads a word only through its letters restricted
+            # to the closure's atoms and the length of its stem.
+            oracle = {}
             for word in enumerate_lassos(alphabet, 2, 2):
-                expected = gnba_accepts_lasso(g, word)
+                key = (tuple(restrict_letter(lt, atoms) for lt in word.letters), len(word.stem))
+                if key not in oracle:
+                    oracle[key] = gnba_accepts_lasso(g, word)
+                expected = oracle[key]
                 assert nba_accepts_lasso(n, word) == expected
                 assert nba_accepts_lasso(g, word) == expected
 
@@ -326,7 +359,8 @@ class TestLinkageOracle:
             return
         family = build_family(psi, sorted(atoms_of(psi)))
         g = family[Truth.TRUE]
+        candidates = naive_elementary(closure)
         for q, vec in enumerate(g.states):
-            assert [g.states[t] for t in g.succ[q]] == naive_successors(closure, vec)
+            assert [g.states[t] for t in g.succ[q]] == naive_successors(closure, vec, candidates)
         for value in Truth:
             assert family[value].acceptance == naive_acceptance(closure, g.states)
