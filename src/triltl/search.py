@@ -9,13 +9,16 @@ for generalized Büchi acceptance (J.-M. Couvreur, "On-the-fly
 verification of linear temporal logic", FM'99; see also Renault et
 al., "Three SCC-based emptiness checks for generalized Büchi
 automata", LPAR 2013).  `first_accepting_lasso` extracts the one
-witness lasso that breadth-first search order singles out.
+witness lasso that breadth-first search order singles out, and tests
+its candidates for cycles with the same pass over one shared numbering.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Hashable, Iterable, Optional, TypeVar
+from functools import partial
+from operator import eq
+from typing import Callable, Hashable, Iterable, Iterator, Optional, TypeVar
 
 Node = TypeVar("Node", bound=Hashable)
 
@@ -37,54 +40,63 @@ def accepting_cycle_reachable(
     above it; the search stops at the first merge whose union is
     `all_marks`.  Each node is expanded at most once.
     """
-    # DFS number of each open node; 0 once its component is complete.
-    number: dict[Node, int] = {}
+    return _couvreur(roots, out_edges, marks, all_marks, {})
+
+
+def _couvreur(
+    roots: Iterable[Node],
+    out_edges: Callable[[Node], Iterable[Node]],
+    marks: Callable[[Node], int],
+    all_marks: int,
+    number: dict[Node, int],
+) -> bool:
+    """Couvreur's pass.  `number` holds each node's DFS number while its
+    component is open, then -1 if an edge closed a cycle in it (a
+    self-loop included) and 0 if not; passes that returned False can
+    share it, as complete nodes are neither expanded nor merged with.
+    """
     live: list[Node] = []
     root_numbers: list[int] = []
     root_marks: list[int] = []
+    # Every merge sets bit `cycle`, above all acceptance marks, in its
+    # component's union: an edge closed a cycle in the component.
+    cycle = 1 << all_marks.bit_length()
+    accepted = all_marks | cycle
     count = 0
-    for root in roots:
-        if root in number:
-            continue
-        count += 1
-        number[root] = count
-        live.append(root)
-        root_numbers.append(count)
-        root_marks.append(marks(root))
-        todo = [(root, iter(out_edges(root)))]
-        while todo:
-            node, edges = todo[-1]
-            for target in edges:
-                seen = number.get(target)
-                if seen is None:
-                    count += 1
-                    number[target] = count
-                    live.append(target)
-                    root_numbers.append(count)
-                    root_marks.append(marks(target))
-                    todo.append((target, iter(out_edges(target))))
-                    break
-                if seen:
-                    # The edge closes a cycle: everything opened since
-                    # `target` is one component now.
-                    union = 0
-                    while root_numbers[-1] > seen:
-                        root_numbers.pop()
-                        union |= root_marks.pop()
-                    union |= root_marks[-1]
-                    root_marks[-1] = union
-                    if union == all_marks:
-                        return True
-            else:
-                todo.pop()
-                if root_numbers[-1] == number[node]:
+    # The roots are the edges of a virtual node at the bottom of `todo`.
+    todo: list[tuple[Optional[Node], Iterator[Node]]] = [(None, iter(roots))]
+    while todo:
+        node, edges = todo[-1]
+        for target in edges:
+            seen = number.get(target)
+            if seen is None:
+                count += 1
+                number[target] = count
+                live.append(target)
+                root_numbers.append(count)
+                root_marks.append(marks(target))
+                todo.append((target, iter(out_edges(target))))
+                break
+            if seen > 0:
+                # A cycle closes: the components opened since `target` merge.
+                union = cycle
+                while root_numbers[-1] > seen:
                     root_numbers.pop()
-                    root_marks.pop()
-                    while True:
-                        member = live.pop()
-                        number[member] = 0
-                        if member == node:
-                            break
+                    union |= root_marks.pop()
+                union |= root_marks[-1]
+                root_marks[-1] = union
+                if union == accepted:
+                    return True
+        else:
+            todo.pop()
+            if todo and root_numbers[-1] == number[node]:
+                root_numbers.pop()
+                done = -1 if root_marks.pop() & cycle else 0
+                while True:
+                    member = live.pop()
+                    number[member] = done
+                    if member == node:
+                        break
     return False
 
 
@@ -103,78 +115,34 @@ def first_accepting_lasso(
     itself, starting at the anchor.
 
     Candidates are tested lazily in discovery order and the search stops
-    at the anchor.  The cycle test is Tarjan's algorithm with one shared
-    state for all candidates: a candidate not yet indexed starts a new
-    Tarjan pass, which answers yes as soon as an edge back into the
-    candidate appears (no node indexed before can reach it), and
-    otherwise completes and records which components are cyclic, so a
-    later candidate already indexed is answered by lookup.  Each node is
-    therefore expanded at most three times: once breadth first, once by
-    Tarjan and once by the loop search.
+    at the anchor.  The cycle test is Couvreur's pass with one DFS
+    numbering shared by all candidates.  A candidate not yet numbered
+    starts a pass whose only mark is its own, which answers yes as soon
+    as a cycle through it closes (no node numbered before can reach it)
+    and otherwise records which components are cyclic, so a later
+    candidate already numbered is answered by lookup.  Each node is
+    expanded at most three times: breadth first, depth first, and by
+    the loop search.
     """
-    index: dict[Node, int] = {}
-    lowlink: dict[Node, int] = {}
-    tarjan_stack: list[Node] = []
-    on_stack: set[Node] = set()
-    cyclic: set[Node] = set()
+    number: dict[Node, int] = {}
 
     def on_cycle(candidate: Node) -> bool:
-        if candidate in index:
-            return candidate in cyclic
-        index[candidate] = lowlink[candidate] = len(index)
-        tarjan_stack.append(candidate)
-        on_stack.add(candidate)
-        work = [(candidate, iter(out_edges(candidate)))]
-        while work:
-            node, edges = work[-1]
-            for target in edges:
-                if target == candidate:
-                    return True
-                if target not in index:
-                    index[target] = lowlink[target] = len(index)
-                    tarjan_stack.append(target)
-                    on_stack.add(target)
-                    work.append((target, iter(out_edges(target))))
-                    break
-                if target in on_stack:
-                    if target == node:
-                        cyclic.add(node)
-                    elif index[target] < lowlink[node]:
-                        lowlink[node] = index[target]
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if lowlink[node] < lowlink[parent]:
-                        lowlink[parent] = lowlink[node]
-                if lowlink[node] == index[node]:
-                    members = []
-                    while True:
-                        member = tarjan_stack.pop()
-                        on_stack.remove(member)
-                        members.append(member)
-                        if member == node:
-                            break
-                    if len(members) > 1:
-                        cyclic.update(members)
-        return False
+        if candidate in number:
+            return number[candidate] < 0
+        return _couvreur(
+            [candidate], out_edges, partial(eq, candidate), 1, number
+        )
 
     def is_anchor(node: Node) -> bool:
         return accepting(node) and on_cycle(node)
 
     parent: dict[Node, Optional[Node]] = {}
-    queue: deque[Node] = deque()
+    # None stands for a virtual node whose edges are the roots.
+    queue: deque[Optional[Node]] = deque([None])
     anchor = None
-    for root in roots:
-        if root not in parent:
-            parent[root] = None
-            queue.append(root)
-            if is_anchor(root):
-                anchor = root
-                break
     while anchor is None and queue:
         node = queue.popleft()
-        for target in out_edges(node):
+        for target in roots if node is None else out_edges(node):
             if target not in parent:
                 parent[target] = node
                 queue.append(target)

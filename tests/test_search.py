@@ -1,4 +1,8 @@
-from collections import Counter
+from collections import Counter, deque
+
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triltl.search import accepting_cycle_reachable, first_accepting_lasso
 
@@ -80,6 +84,19 @@ class TestFirstAcceptingLasso:
         out = graph([(0, 1), (1, 2), (1, 3), (2, 4), (4, 1), (3, 1)])
         assert first_accepting_lasso([0], out, lambda n: n == 1) == ([0], [1, 3])
 
+    def test_cyclic_node_completed_in_an_earlier_pass(self):
+        # Node 1's self-loop is found inside candidate 0's pass, which
+        # completes; the later lookup for candidate 1 must say cyclic.
+        out = graph([(0, 1), (1, 1)])
+        assert first_accepting_lasso([0], out, lambda n: True) == ([0], [1])
+
+    def test_completed_cycle_is_not_a_cycle_of_a_later_candidate(self):
+        # Candidate 2's pass runs into node 1, whose cyclic component was
+        # completed by candidate 0's pass; 2 itself lies on no cycle.
+        out = graph([(0, 1), (1, 1), (2, 1)])
+        accepting = lambda n: n in (0, 2)
+        assert first_accepting_lasso([0, 2], out, accepting) is None
+
     def test_roots_in_declaration_order(self):
         out = graph([(5, 5), (7, 7)])
         assert first_accepting_lasso([7, 5], out, lambda n: True) == ([], [7])
@@ -90,3 +107,83 @@ class TestFirstAcceptingLasso:
         assert found == (list(range(CHAIN)), [CHAIN, CHAIN + 1])
         assert len(calls) == CHAIN + 2
         assert max(calls.values()) <= 3
+
+
+@st.composite
+def marked_graphs(draw):
+    """A digraph on at most 8 nodes with its edges in listed order,
+    roots, an accepting set, and marks over at most 2 acceptance sets."""
+    n = draw(st.integers(1, 8))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    roots = draw(st.lists(node, max_size=3))
+    accepting = draw(st.frozensets(node))
+    sets = draw(st.integers(0, 2))
+    all_marks = (1 << sets) - 1
+    marks = draw(st.lists(st.integers(0, all_marks), min_size=n, max_size=n))
+    return n, edges, roots, accepting, marks, all_marks
+
+
+class TestAgainstNetworkx:
+    @settings(max_examples=150, deadline=None)
+    @given(marked_graphs())
+    def test_both_routines_agree_with_networkx_sccs(self, case):
+        n, edges, roots, accepting, marks, all_marks = case
+        succ = {v: [] for v in range(n)}
+        for src, dst in edges:
+            succ[src].append(dst)
+        nxg = nx.DiGraph()
+        nxg.add_nodes_from(range(n))
+        nxg.add_edges_from(edges)
+        cyclic = set()
+        fair = False
+        reachable = set(roots).union(*(nx.descendants(nxg, r) for r in roots))
+        for component in nx.strongly_connected_components(nxg):
+            v = next(iter(component))
+            if len(component) > 1 or nxg.has_edge(v, v):
+                cyclic |= component
+                union = 0
+                for member in component:
+                    union |= marks[member]
+                fair |= union == all_marks and v in reachable
+        out = succ.__getitem__
+        found = accepting_cycle_reachable(roots, out, marks.__getitem__, all_marks)
+        assert found == fair
+
+        # Breadth-first discovery order and parents, roots first.
+        parent = {}
+        order = []
+        for root in roots:
+            if root not in parent:
+                parent[root] = None
+                order.append(root)
+        queue = deque(order)
+        while queue:
+            v = queue.popleft()
+            for w in succ[v]:
+                if w not in parent:
+                    parent[w] = v
+                    order.append(w)
+                    queue.append(w)
+        anchors = [v for v in order if v in accepting and v in cyclic]
+        lasso = first_accepting_lasso(roots, out, accepting.__contains__)
+        if not anchors:
+            assert lasso is None
+            return
+        anchor = anchors[0]
+        stem, loop = lasso
+        chain = []
+        v = parent[anchor]
+        while v is not None:
+            chain.append(v)
+            v = parent[v]
+        assert stem == chain[::-1]
+        assert loop[0] == anchor
+        walk = loop + [anchor]
+        assert all(nxg.has_edge(a, b) for a, b in zip(walk, walk[1:]))
+        shortest = min(
+            nx.shortest_path_length(nxg, w, anchor) + 1
+            for w in succ[anchor]
+            if nx.has_path(nxg, w, anchor)
+        )
+        assert len(loop) == shortest
