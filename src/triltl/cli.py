@@ -14,14 +14,8 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .elementary import DEFAULT_CANDIDATE_CAP, StateSpaceLimitError
-from .emit import to_dot, to_hoa
-from .gnba import build_automaton
-from .letters import letter_atoms, parse_letter_sequence
-from .modelcheck import check_model, parse_model
-from .semantics import eval_lasso, lasso
-from .syntax import atoms_of, is_atom_name, parse_core
-from .truth import parse_truth
+# Each runner imports the modules its subcommand needs, so that a
+# process loads only those (`eval` loads no automaton code).
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -33,6 +27,8 @@ class UsageError(ValueError):
 
 
 def _parse_alphabet(text: str) -> tuple[str, ...]:
+    from .syntax import is_atom_name
+
     atoms = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -48,7 +44,12 @@ def _parse_alphabet(text: str) -> tuple[str, ...]:
     return tuple(atoms)
 
 
-def _check_cap(cap: int) -> int:
+def _state_cap(cap: Optional[int]) -> int:
+    """The --state-cap value, or the library's default when it is not given."""
+    if cap is None:
+        from .elementary import DEFAULT_CANDIDATE_CAP
+
+        return DEFAULT_CANDIDATE_CAP
     if cap < 1:
         raise UsageError("--state-cap must be a positive count")
     return cap
@@ -63,12 +64,17 @@ def _write_output(path: str, text: str) -> None:
 
 
 def _run_translate(args: argparse.Namespace) -> int:
+    from .emit import to_dot, to_hoa
+    from .gnba import build_automaton
+    from .syntax import parse_core
+    from .truth import parse_truth
+
     if args.out_dot is None and args.out_hoa is None:
         raise UsageError("translate needs --out-dot and/or --out-hoa")
     alphabet = _parse_alphabet(args.alphabet)
     value = parse_truth(args.value)
     psi = parse_core(args.formula)
-    automaton = build_automaton(psi, alphabet, value, cap=_check_cap(args.state_cap))
+    automaton = build_automaton(psi, alphabet, value, cap=_state_cap(args.state_cap))
     if args.out_dot is not None:
         _write_output(args.out_dot, to_dot(automaton))
     if args.out_hoa is not None:
@@ -82,6 +88,9 @@ def _run_translate(args: argparse.Namespace) -> int:
 
 
 def _run_check(args: argparse.Namespace) -> int:
+    from .modelcheck import check_model, parse_model
+    from .syntax import parse_core
+
     try:
         with open(args.model, "r", encoding="utf-8") as handle:
             document = handle.read()
@@ -90,7 +99,7 @@ def _run_check(args: argparse.Namespace) -> int:
     model = parse_model(document)
     psi = parse_core(args.formula)
     alphabet = None if args.alphabet is None else _parse_alphabet(args.alphabet)
-    result = check_model(model, psi, alphabet, cap=_check_cap(args.state_cap))
+    result = check_model(model, psi, alphabet, cap=_state_cap(args.state_cap))
     print(result.value.token)
     if result.witness is not None:
         stem, loop = result.witness
@@ -99,6 +108,10 @@ def _run_check(args: argparse.Namespace) -> int:
 
 
 def _run_eval(args: argparse.Namespace) -> int:
+    from .letters import letter_atoms, parse_letter_sequence
+    from .semantics import eval_lasso, lasso
+    from .syntax import atoms_of, parse_core
+
     psi = parse_core(args.formula)
     stem = parse_letter_sequence(args.stem)
     loop = parse_letter_sequence(args.loop)
@@ -141,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     translate.add_argument(
         "--state-cap",
         type=int,
-        default=DEFAULT_CANDIDATE_CAP,
         help="abort when 3^(closure size) exceeds this count",
     )
 
@@ -149,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--model", required=True, help="path to the JSON model file")
     check.add_argument("--formula", required=True, help="LTL formula text")
     check.add_argument("--alphabet", help="override the inferred alphabet")
-    check.add_argument("--state-cap", type=int, default=DEFAULT_CANDIDATE_CAP)
+    check.add_argument("--state-cap", type=int)
 
     evaluate = sub.add_parser("eval", help="evaluate a formula on a lasso word")
     evaluate.add_argument("--formula", required=True, help="LTL formula text")
@@ -169,12 +181,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _RUNNERS[args.command](args)
-    except StateSpaceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        from .elementary import StateSpaceLimitError
+
+        if not isinstance(exc, StateSpaceLimitError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
 
 
 if __name__ == "__main__":

@@ -264,6 +264,18 @@ class LazyFamily:
         return found
 
 
+def _pin_free_family(closure: Closure) -> LazyFamily:
+    """The one pin-free `LazyFamily` of `closure` that `successors` and
+    `acceptance_sets` read, so that calls over many states of one
+    closure grow one trie.  It is kept on the closure and lives as long
+    as the closure does.  (A weak-keyed table would keep every closure
+    alive instead, since the family refers to its closure.)"""
+    family = getattr(closure, "_pin_free_family", None)
+    if family is None:
+        family = closure._pin_free_family = LazyFamily(closure, [None])
+    return family
+
+
 def _state_id(family: LazyFamily, vec: Sequence[int]) -> int:
     """`vec`'s state id: the one leaf a walk of its exact mask yields."""
     well_formed = len(vec) == len(family.closure.bases) and set(vec) <= set(MARKS)
@@ -281,7 +293,7 @@ def successors(vec: StateVec, letter: Letter, closure: Closure) -> list[StateVec
     whose marks satisfy the next/until linkage with `vec`.  Raises
     ValueError when `vec` is not an elementary set.
     """
-    family = LazyFamily(closure, [None])
+    family = _pin_free_family(closure)
     q = _state_id(family, vec)
     if restrict_letter(letter, closure.atoms) != state_pattern(vec, closure):
         return []
@@ -293,7 +305,7 @@ def acceptance_sets(
 ) -> list[frozenset[int]]:
     """One acceptance set per until base, in closure order, then the
     full state set.  Raises ValueError as `successors` does."""
-    family = LazyFamily(closure, [None])
+    family = _pin_free_family(closure)
     masks = [family.marks[_state_id(family, vec)] for vec in states]
     return [
         frozenset(q for q, mask in enumerate(masks) if mask >> k & 1)

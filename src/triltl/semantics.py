@@ -12,7 +12,6 @@ oracle for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
@@ -36,25 +35,54 @@ class NonTotalLetterError(ValueError):
     """A letter leaves some alphabet atom unassigned."""
 
 
-@dataclass(frozen=True)
 class LassoWord:
-    """The infinite word stem . loop . loop . loop ..."""
+    """The infinite word stem . loop . loop . loop ...
 
-    stem: tuple[Letter, ...]
-    loop: tuple[Letter, ...]
-    alphabet: tuple[str, ...]
+    Immutable; compared and hashed by (stem, loop, alphabet).
+    """
 
-    def __post_init__(self):
-        if not self.loop:
+    __slots__ = ("stem", "loop", "alphabet")
+
+    def __init__(
+        self, stem: tuple[Letter, ...], loop: tuple[Letter, ...], alphabet: tuple[str, ...]
+    ):
+        if not loop:
             raise LassoFormatError("lasso loop must not be empty")
-        atoms = set(self.alphabet)
-        for letter in (*self.stem, *self.loop):
+        atoms = set(alphabet)
+        for letter in (*stem, *loop):
             make_letter(letter)
             extra = letter_atoms(letter) - atoms
             if extra:
                 raise LassoFormatError(
                     f"letter uses atom {sorted(extra)[0]!r} outside the alphabet"
                 )
+        _set = object.__setattr__
+        _set(self, "stem", stem)
+        _set(self, "loop", loop)
+        _set(self, "alphabet", alphabet)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.stem, self.loop, self.alphabet)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return (self.__class__, self._fields())
+
+    def __repr__(self) -> str:
+        return f"LassoWord(stem={self.stem!r}, loop={self.loop!r}, alphabet={self.alphabet!r})"
 
     @property
     def length(self) -> int:

@@ -9,7 +9,6 @@ formula is canonical: no node is a negation of a negation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 
@@ -21,74 +20,152 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, slots=True)
+# Formula nodes are immutable and compare by class and fields, as frozen
+# dataclasses do.  Each node stores its hash when it is made: hash() of
+# its field tuple, the value a frozen dataclass computes on every call.
+# So hashing never recurses, and equality compares the stored hashes
+# before it recurses into the operands.  Fields are set once, in
+# __init__, through object.__setattr__.
+_set = object.__setattr__
+
+
 class Formula:
     """Base class for formula nodes."""
 
+    __slots__ = ("_hash",)
+    __match_args__: tuple[str, ...] = ()
 
-@dataclass(frozen=True, slots=True)
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __reduce__(self):
+        return (self.__class__, self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__match_args__, self._fields())
+        )
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+class _Leaf(Formula):
+    """A node without fields: a constant."""
+
+    __slots__ = ()
+    __hash__ = Formula.__hash__
+
+    def __init__(self):
+        _set(self, "_hash", hash(()))
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ or NotImplemented
+
+
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+    __hash__ = Formula.__hash__
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        _set(self, "_hash", hash((name,)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
 
 
-@dataclass(frozen=True, slots=True)
-class TrueConst(Formula):
-    pass
+class _Unary(Formula):
+    """A connective with one operand."""
+
+    __slots__ = ("child",)
+    __match_args__ = ("child",)
+    __hash__ = Formula.__hash__
+
+    def __init__(self, child: Formula):
+        _set(self, "child", child)
+        _set(self, "_hash", hash((child,)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self.child == other.child)
 
 
-@dataclass(frozen=True, slots=True)
-class FalseConst(Formula):
-    pass
+class _Binary(Formula):
+    """A connective with two operands."""
+
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+    __hash__ = Formula.__hash__
+
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((left, right)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash
+            and self.left == other.left
+            and self.right == other.right
+        )
 
 
-@dataclass(frozen=True, slots=True)
-class Not(Formula):
-    child: Formula
+class TrueConst(_Leaf):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class FalseConst(_Leaf):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Not(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Next(Formula):
-    child: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
+class Implies(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Release(Formula):
-    left: Formula
-    right: Formula
+class Next(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Finally(Formula):
-    child: Formula
+class Until(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Globally(Formula):
-    child: Formula
+class Release(_Binary):
+    __slots__ = ()
+
+
+class Finally(_Unary):
+    __slots__ = ()
+
+
+class Globally(_Unary):
+    __slots__ = ()
 
 
 TRUE = TrueConst()
@@ -110,11 +187,13 @@ def is_atom_name(text: str) -> bool:
 _UNARY_KEYWORDS = {"X": Next, "F": Finally, "G": Globally}
 
 
-@dataclass(frozen=True, slots=True)
 class _Token:
-    kind: str
-    text: str
-    pos: int
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind
+        self.text = text
+        self.pos = pos
 
 
 def _lex(text: str) -> Iterator[_Token]:

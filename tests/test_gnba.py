@@ -22,6 +22,7 @@ from triltl import (
     state_pattern,
     successors,
 )
+from triltl import gnba
 from triltl.gnba import LazyFamily, build_family
 from triltl.letters import all_letters, restrict_letter
 from helpers import (
@@ -202,6 +203,24 @@ class TestSuccessors:
             assert successors(vec, state_pattern(vec, c), c) == expected
         states = sorted(candidates, reverse=True)
         assert tuple(acceptance_sets(states, c)) == naive_acceptance(c, states)
+
+    def test_calls_over_one_closure_grow_one_trie(self, monkeypatch):
+        built = []
+
+        class CountedTables(gnba.Tables):
+            def __init__(self, *args):
+                built.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(gnba, "Tables", CountedTables)
+        c = closure_of(parse_core("a R (b U a)"))
+        candidates = naive_elementary(c)
+        for vec in sorted(candidates):
+            expected = naive_successors(c, vec, candidates)
+            assert successors(vec, state_pattern(vec, c), c) == expected
+        states = sorted(candidates)
+        assert tuple(acceptance_sets(states, c)) == naive_acceptance(c, states)
+        assert built == [c]
 
     @pytest.mark.parametrize(
         "vec",

@@ -1,4 +1,6 @@
 import ast
+import copy
+import pickle
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ from triltl import (
     And,
     Atom,
     LassoFormatError,
+    LassoWord,
     Next,
     NonTotalLetterError,
     TRUE,
@@ -72,6 +75,31 @@ class TestLassoWord:
     def test_letters_must_stay_inside_the_alphabet(self):
         with pytest.raises(LassoFormatError):
             lasso([], [frozenset({("c", True)})], ["a", "b"])
+
+    def test_constructor_validates(self):
+        with pytest.raises(LassoFormatError, match="loop must not be empty"):
+            LassoWord((POS_A,), (), ("a",))
+        with pytest.raises(LassoFormatError, match="outside the alphabet"):
+            LassoWord((), (frozenset({("b", True)}),), ("a",))
+
+    def test_value_semantics(self):
+        w = LassoWord((EMPTY,), (POS_A, NEG_A), ("a",))
+        assert repr(w) == (
+            "LassoWord(stem=(frozenset(),), loop=(frozenset({('a', True)}), "
+            "frozenset({('a', False)})), alphabet=('a',))"
+        )
+        assert w == lasso([EMPTY], [POS_A, NEG_A], ["a"])
+        assert w != lasso([], [POS_A, NEG_A], ["a"])
+        assert hash(w) == hash((w.stem, w.loop, w.alphabet))
+        for name in ("stem", "loop", "alphabet", "other"):
+            with pytest.raises(AttributeError):
+                setattr(w, name, ())
+
+    @given(lassos_ab)
+    def test_pickle_and_deepcopy_round_trip(self, w):
+        for twin in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w)):
+            assert twin == w
+            assert hash(twin) == hash(w)
 
     def test_position_arithmetic(self):
         w = lasso([EMPTY], [POS_A, NEG_A], ["a"])

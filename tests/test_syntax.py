@@ -1,9 +1,13 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from triltl import (
     And,
     Atom,
+    FalseConst,
     Finally,
     FormulaSyntaxError,
     Globally,
@@ -12,7 +16,9 @@ from triltl import (
     Next,
     Not,
     Or,
+    Release,
     TRUE,
+    TrueConst,
     Until,
     atoms_of,
     closure_of,
@@ -267,3 +273,105 @@ def test_check_core_rejects_surface_nodes():
         check_core(parse("a | b"))
     with pytest.raises(ValueError):
         check_core(Not(Not(A)))
+
+
+# One node of every class, with the repr text each had as a frozen dataclass.
+NODES = {
+    "Atom(name='a')": A,
+    "TrueConst()": TRUE,
+    "FalseConst()": FalseConst(),
+    "Not(child=Atom(name='a'))": Not(A),
+    "Next(child=Atom(name='a'))": Next(A),
+    "Finally(child=Atom(name='a'))": Finally(A),
+    "Globally(child=Atom(name='a'))": Globally(A),
+    "And(left=Atom(name='a'), right=Atom(name='b'))": And(A, B),
+    "Or(left=Atom(name='a'), right=Atom(name='b'))": Or(A, B),
+    "Implies(left=Atom(name='a'), right=Atom(name='b'))": Implies(A, B),
+    "Until(left=Atom(name='a'), right=Atom(name='b'))": Until(A, B),
+    "Release(left=Atom(name='a'), right=Atom(name='b'))": Release(A, B),
+}
+
+surface_formulas = st.recursive(
+    st.one_of(st.sampled_from([A, B, TRUE, FalseConst()])),
+    lambda children: st.one_of(
+        *(st.builds(kind, children) for kind in (Not, Next, Finally, Globally)),
+        *(
+            st.builds(kind, children, children)
+            for kind in (And, Or, Implies, Until, Release)
+        ),
+    ),
+    max_leaves=8,
+)
+
+
+def _fields(f):
+    return tuple(getattr(f, name) for name in f.__match_args__)
+
+
+def _nodes(f):
+    yield f
+    for child in _fields(f):
+        if not isinstance(child, str):
+            yield from _nodes(child)
+
+
+class TestNodeClasses:
+    """Formula nodes keep the contract they had as frozen dataclasses."""
+
+    @pytest.mark.parametrize("text", NODES)
+    def test_repr_text(self, text):
+        assert repr(NODES[text]) == text
+
+    def test_nested_repr_text(self):
+        assert repr(And(A, Not(Next(TRUE)))) == (
+            "And(left=Atom(name='a'), right=Not(child=Next(child=TrueConst())))"
+        )
+
+    def test_equality_is_by_class_and_fields(self):
+        assert And(A, B) == And(Atom("a"), Atom("b"))
+        assert And(A, B) != And(B, A)
+        assert And(A, B) != Or(A, B)
+        assert Until(A, B) != Release(A, B)
+        assert Not(A) != Next(A)
+        assert Finally(A) != Globally(A)
+        assert TRUE != FalseConst()
+        assert TrueConst() == TRUE
+        assert A != "a"
+        distinct = list(NODES.values())
+        for i, f in enumerate(distinct):
+            assert [g == f for g in distinct] == [j == i for j in range(len(distinct))]
+
+    @given(surface_formulas)
+    def test_hash_is_the_hash_of_the_field_tuple(self, f):
+        for node in _nodes(f):
+            assert hash(node) == hash(_fields(node))
+
+    @pytest.mark.parametrize("text", NODES)
+    def test_fields_are_read_only(self, text):
+        # Also for a name that is not a field, where a frozen slots
+        # dataclass raised TypeError.
+        f = NODES[text]
+        for name in (*f.__match_args__, "other"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, A)
+            with pytest.raises(AttributeError):
+                delattr(f, name)
+        assert repr(f) == text
+
+    def test_positional_match_patterns(self):
+        match And(Until(A, Not(B)), Next(TRUE)):
+            case And(Until(left, Not(child)), Next(TrueConst())):
+                assert (left, child) == (A, B)
+            case _:
+                pytest.fail("positional pattern did not match")
+        match Atom("q"):
+            case Atom(name):
+                assert name == "q"
+
+    @given(surface_formulas)
+    def test_pickle_and_deepcopy_round_trip(self, f):
+        for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+            assert twin == f
+            assert type(twin) is type(f)
+            assert hash(twin) == hash(f)
+            assert repr(twin) == repr(f)
