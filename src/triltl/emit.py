@@ -231,8 +231,16 @@ def read_hoa(text: str) -> HoaAutomaton:
                 raise HoaFormatError("AP count does not match the name list")
             ap = tuple(names)
         elif line.startswith("Acceptance:"):
-            count = line[len("Acceptance:") :].strip().partition(" ")[0]
+            count, _, condition = line[len("Acceptance:") :].strip().partition(" ")
             acceptance_count = _number(count, "acceptance count")
+            # Exactly Inf(0)&...&Inf(k-1), checked term by term so that a
+            # huge declared count costs nothing before it is refused.
+            condition = condition.strip()
+            terms = condition.split("&") if condition else []
+            if len(terms) != acceptance_count or any(
+                term != f"Inf({k})" for k, term in enumerate(terms)
+            ):
+                raise HoaFormatError(f"unsupported acceptance condition {condition!r}")
         elif line.startswith("acc-name:") or line.startswith("properties:"):
             continue
         else:
@@ -248,6 +256,8 @@ def read_hoa(text: str) -> HoaAutomaton:
     edges: list[tuple[int, Letter, int]] = []
     # All edges of a state carry the same label: parse each text once.
     labels: dict[str, Letter] = {}
+    # One byte per state: a set of ids would raise the reader's peak.
+    declared = bytearray(num_states)
     current = None
     for line in lines[i + 1 :]:
         if line == "--END--":
@@ -255,6 +265,9 @@ def read_hoa(text: str) -> HoaAutomaton:
         if line.startswith("State:"):
             number, _, rest = line[len("State:") :].strip().partition(" ")
             current = _number(number, "state", num_states)
+            if declared[current]:
+                raise HoaFormatError(f"state {current} is declared twice")
+            declared[current] = 1
             rest = rest.strip()
             state_names[current], rest = _quoted(rest) if rest.startswith('"') else ("", rest)
             if rest.startswith("{") and rest.endswith("}"):

@@ -117,8 +117,6 @@ def parse_lasso(
     """
     stem = parse_letter_sequence(stem_text)
     loop = parse_letter_sequence(loop_text)
-    if not loop:
-        raise LassoFormatError("lasso loop must not be empty")
     if alphabet is None:
         names: set[str] = set()
         for letter in (*stem, *loop):

@@ -20,20 +20,38 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
-# Formula nodes are immutable and compare by class and fields, as frozen
-# dataclasses do.  Each node stores its hash when it is made: hash() of
-# its field tuple, the value a frozen dataclass computes on every call.
-# So hashing never recurses, and equality compares the stored hashes
-# before it recurses into the operands.  Fields are set once, in
-# __init__, through object.__setattr__.
+# Formula nodes are interned: `Formula.__new__` returns the one node of a
+# class with given fields, so equality is identity and a formula is a
+# cheap dict key.  Each node stores, when it is made, its hash (hash()
+# of its field tuple, the value a frozen dataclass computes) and its
+# size.  The table keeps every distinct formula the process has built.
 _set = object.__setattr__
+_interned: dict[tuple, Formula] = {}
 
 
 class Formula:
     """Base class for formula nodes."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_size")
     __match_args__: tuple[str, ...] = ()
+
+    def __new__(cls, *fields):
+        key = (cls, fields)
+        node = _interned.get(key)
+        if node is not None:
+            return node
+        names = cls.__match_args__
+        if len(fields) != len(names):
+            raise TypeError(
+                f"{cls.__qualname__}() takes {len(names)} operands ({len(fields)} given)"
+            )
+        node = object.__new__(cls)
+        for name, value in zip(names, fields):
+            _set(node, name, value)
+        _set(node, "_hash", hash(fields))
+        _set(node, "_size", 1 + sum(f._size for f in fields if isinstance(f, Formula)))
+        # setdefault keeps the first node made if two threads race here.
+        return _interned.setdefault(key, node)
 
     def __hash__(self) -> int:
         return self._hash
@@ -57,32 +75,9 @@ class Formula:
         return f"{self.__class__.__qualname__}({shown})"
 
 
-class _Leaf(Formula):
-    """A node without fields: a constant."""
-
-    __slots__ = ()
-    __hash__ = Formula.__hash__
-
-    def __init__(self):
-        _set(self, "_hash", hash(()))
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ or NotImplemented
-
-
 class Atom(Formula):
     __slots__ = ("name",)
     __match_args__ = ("name",)
-    __hash__ = Formula.__hash__
-
-    def __init__(self, name: str):
-        _set(self, "name", name)
-        _set(self, "_hash", hash((name,)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
 
 
 class _Unary(Formula):
@@ -90,16 +85,6 @@ class _Unary(Formula):
 
     __slots__ = ("child",)
     __match_args__ = ("child",)
-    __hash__ = Formula.__hash__
-
-    def __init__(self, child: Formula):
-        _set(self, "child", child)
-        _set(self, "_hash", hash((child,)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self._hash == other._hash and self.child == other.child)
 
 
 class _Binary(Formula):
@@ -107,28 +92,13 @@ class _Binary(Formula):
 
     __slots__ = ("left", "right")
     __match_args__ = ("left", "right")
-    __hash__ = Formula.__hash__
-
-    def __init__(self, left: Formula, right: Formula):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "_hash", hash((left, right)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (
-            self._hash == other._hash
-            and self.left == other.left
-            and self.right == other.right
-        )
 
 
-class TrueConst(_Leaf):
+class TrueConst(Formula):
     __slots__ = ()
 
 
-class FalseConst(_Leaf):
+class FalseConst(Formula):
     __slots__ = ()
 
 
@@ -240,8 +210,8 @@ def _lex(text: str) -> Iterator[_Token]:
 #: Deepest nesting a formula may have.  Each operator and each pair of
 #: parentheses on a path from the whole formula down to an atom counts
 #: one level.  The bound keeps the parser and the recursive functions
-#: over formulas (desugaring, printing, closures, hashing) well inside
-#: Python's default recursion limit.
+#: over formulas (desugaring, printing, closures) well inside Python's
+#: default recursion limit.
 MAX_NESTING = 100
 
 _Parsed = tuple[Formula, int]
@@ -423,12 +393,8 @@ def parse_core(text: str) -> Formula:
 
 
 def formula_size(f: Formula) -> int:
-    """Number of nodes in the tree."""
-    if isinstance(f, (Atom, TrueConst, FalseConst)):
-        return 1
-    if isinstance(f, (Not, Next, Finally, Globally)):
-        return 1 + formula_size(f.child)
-    return 1 + formula_size(f.left) + formula_size(f.right)
+    """Number of nodes in the tree, stored when the node was made."""
+    return f._size
 
 
 def atoms_of(f: Formula) -> frozenset[str]:
@@ -539,7 +505,7 @@ class Closure:
 
         text = {b: format_formula(b) for b in seen}
         self.bases: tuple[Formula, ...] = tuple(
-            sorted(seen, key=lambda b: (formula_size(b), text[b]))
+            sorted(seen, key=lambda b: (b._size, text[b]))
         )
         #: Rendered text of each base and of its negation, in base order.
         self.base_texts: tuple[str, ...] = tuple(text[b] for b in self.bases)

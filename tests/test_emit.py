@@ -152,6 +152,17 @@ class TestHoa:
             ("States: 9", "States: nine", "state count 'nine'"),
             ("Acceptance: 1 Inf(0)", "Acceptance: Inf(0)", "acceptance count"),
             ("[!0 & 1] 8\n--END--", "[!0 & 1 8\n--END--", "unterminated edge label"),
+            (
+                "Acceptance: 1 Inf(0)",
+                "Acceptance: 2 Fin(0)|Fin(1)",
+                "unsupported acceptance condition 'Fin(0)|Fin(1)'",
+            ),
+            ("Acceptance: 1 Inf(0)", "Acceptance: 1 Inf(1)", "acceptance condition 'Inf(1)'"),
+            (
+                '[!0 & !1] 2\nState: 1 "',
+                '[!0 & !1] 2\nState: 0 "∅" {0}\n[!0 & !1] 1\nState: 1 "',
+                "state 0 is declared twice",
+            ),
         ],
     )
     def test_reader_rejects_malformed_fields(self, old, new, message):

@@ -1,5 +1,7 @@
 import copy
 import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,6 +31,8 @@ from triltl import (
     parse,
     parse_core,
 )
+from helpers import CORPUS
+from triltl import syntax
 from triltl.semantics import _subformulas_bottom_up
 from triltl.syntax import check_core
 
@@ -327,6 +331,17 @@ class TestNodeClasses:
             "And(left=Atom(name='a'), right=Not(child=Next(child=TrueConst())))"
         )
 
+    @pytest.mark.parametrize(
+        "kind,operands",
+        [(And, (A,)), (Not, ()), (Atom, ()), (TrueConst, (A,)), (Until, (A, B, A))],
+        ids=["And(A)", "Not()", "Atom()", "TrueConst(A)", "Until(A, B, A)"],
+    )
+    def test_wrong_operand_count_raises_and_interns_nothing(self, kind, operands):
+        before = len(syntax._interned)
+        with pytest.raises(TypeError):
+            kind(*operands)
+        assert len(syntax._interned) == before
+
     def test_equality_is_by_class_and_fields(self):
         assert And(A, B) == And(Atom("a"), Atom("b"))
         assert And(A, B) != And(B, A)
@@ -371,7 +386,54 @@ class TestNodeClasses:
     @given(surface_formulas)
     def test_pickle_and_deepcopy_round_trip(self, f):
         for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+            assert twin is f
             assert twin == f
             assert type(twin) is type(f)
             assert hash(twin) == hash(f)
             assert repr(twin) == repr(f)
+
+
+class TestInterning:
+    """Each distinct formula is one object, so equality is identity."""
+
+    @given(surface_formulas)
+    def test_rebuilding_a_node_from_its_fields_returns_it(self, f):
+        for node in _nodes(f):
+            assert type(node)(*_fields(node)) is node
+
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_parsing_twice_gives_one_object(self, text):
+        assert parse_core(text) is parse_core(text)
+        assert parse(text) is parse(text)
+
+    def test_threads_that_race_get_one_object(self):
+        # Fresh atom names, so that every construction is a miss.
+        names = [f"race{i}" for i in range(300)]
+        built = [None] * 4
+
+        def build(slot):
+            built[slot] = [Next(Until(Atom(n), Not(Atom(n)))) for n in names]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        for nodes in built[1:]:
+            assert all(f is g for f, g in zip(nodes, built[0], strict=True))
+
+    @given(surface_formulas)
+    def test_stored_size_is_the_node_count(self, f):
+        for node in _nodes(f):
+            assert formula_size(node) == _count(node)
+
+
+def _count(f):
+    """Number of nodes in the tree, counted by recursion."""
+    return 1 + sum(_count(child) for child in _fields(f) if not isinstance(child, str))
