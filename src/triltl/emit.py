@@ -101,6 +101,11 @@ def _edge_label(g: Gnba, pattern: Letter) -> str:
     return " & ".join(conjuncts)
 
 
+#: The properties every emitted HOA document declares, and the only ones
+#: `read_hoa` accepts.
+_PROPERTIES = ("trans-labels", "explicit-labels", "state-acc")
+
+
 def to_hoa(g: Gnba) -> str:
     """Render the automaton in HOA v1 with state-based generalized
     Buchi acceptance."""
@@ -115,7 +120,7 @@ def to_hoa(g: Gnba) -> str:
     lines.append(f"AP: {2 * len(g.alphabet)} {' '.join(ap_names)}")
     lines.append(f"acc-name: generalized-Buchi {k}")
     lines.append(f"Acceptance: {k} {'&'.join(f'Inf({i})' for i in range(k))}")
-    lines.append("properties: trans-labels explicit-labels state-acc")
+    lines.append("properties: " + " ".join(_PROPERTIES))
     lines.append("--BODY--")
     ids = list(map(str, range(len(g.states))))
     acc = _acceptance_texts(g, " ")
@@ -213,6 +218,7 @@ def read_hoa(text: str) -> HoaAutomaton:
     starts: list[str] = []
     ap: tuple[str, ...] = ()
     acceptance_count = None
+    named_count = None
     i = 1
     while i < len(lines) and lines[i] != "--BODY--":
         line = lines[i]
@@ -241,12 +247,23 @@ def read_hoa(text: str) -> HoaAutomaton:
                 term != f"Inf({k})" for k, term in enumerate(terms)
             ):
                 raise HoaFormatError(f"unsupported acceptance condition {condition!r}")
-        elif line.startswith("acc-name:") or line.startswith("properties:"):
-            continue
+        elif line.startswith("acc-name:"):
+            name, _, count = line[len("acc-name:") :].strip().partition(" ")
+            if name != "generalized-Buchi":
+                raise HoaFormatError(f"unsupported acc-name {name!r}")
+            named_count = _number(count, "acc-name set count")
+        elif line.startswith("properties:"):
+            for prop in line[len("properties:") :].split():
+                if prop not in _PROPERTIES:
+                    raise HoaFormatError(f"unsupported property {prop!r}")
         else:
             raise HoaFormatError(f"unsupported header line {line!r}")
     if num_states is None or acceptance_count is None:
         raise HoaFormatError("missing States: or Acceptance: header")
+    if named_count is not None and named_count != acceptance_count:
+        raise HoaFormatError(
+            f"acc-name names {named_count} sets, Acceptance: has {acceptance_count}"
+        )
     if i == len(lines):
         raise HoaFormatError("missing --BODY--")
     initial = frozenset({_number(start, "start state", num_states) for start in starts})

@@ -23,7 +23,7 @@ from .letters import (
     make_letter,
     parse_letter_sequence,
 )
-from .syntax import And, Atom, Formula, Next, Not, TrueConst, Until, atoms_of
+from .syntax import And, Atom, Formula, Next, Not, TrueConst, Until, subformulas
 from .truth import Truth
 
 
@@ -125,22 +125,15 @@ def parse_lasso(
     return lasso(stem, loop, alphabet)
 
 
-def _subformulas_bottom_up(psi: Formula) -> list[Formula]:
-    seen: set[Formula] = set()
-    order: list[Formula] = []
-
-    def visit(g: Formula) -> None:
-        if g in seen:
-            return
-        seen.add(g)
-        if isinstance(g, (Not, Next)):
-            visit(g.child)
-        elif isinstance(g, (And, Until)):
-            visit(g.left)
-            visit(g.right)
-        order.append(g)
-
-    visit(psi)
+def _subformulas_in(psi: Formula, word: LassoWord) -> list[Formula]:
+    """The subformulas of psi, bottom-up, once its atoms are known to be
+    in the word's alphabet."""
+    order = subformulas(psi)
+    missing = {g.name for g in order if isinstance(g, Atom)} - set(word.alphabet)
+    if missing:
+        raise UnknownAtomError(
+            f"formula atom {sorted(missing)[0]!r} is not in the lasso alphabet"
+        )
     return order
 
 
@@ -150,16 +143,18 @@ def _fixpoint_sweeps(n: int) -> int:
 
 
 def _label_tables(
-    psi: Formula, word: LassoWord
+    order: list[Formula], word: LassoWord
 ) -> dict[Formula, tuple[list[bool], list[bool]]]:
-    """For each subformula, positionwise (definitely-true, definitely-false)."""
+    """For each formula in `order`, positionwise (definitely-true,
+    definitely-false).  Every operand must come before its compounds, as
+    in `subformulas`."""
     n = word.length
     succ = [word.successor(i) for i in range(n)]
     letters = word.letters
     budget = _fixpoint_sweeps(n)
 
     tables: dict[Formula, tuple[list[bool], list[bool]]] = {}
-    for g in _subformulas_bottom_up(psi):
+    for g in order:
         if isinstance(g, Atom):
             t = [(g.name, True) in letters[i] for i in range(n)]
             f = [(g.name, False) in letters[i] for i in range(n)]
@@ -221,12 +216,7 @@ def _label_tables(
 
 def eval_lasso(psi: Formula, word: LassoWord) -> Truth:
     """The three-valued value of `psi` on the infinite word at position 0."""
-    missing = atoms_of(psi) - set(word.alphabet)
-    if missing:
-        raise UnknownAtomError(
-            f"formula atom {sorted(missing)[0]!r} is not in the lasso alphabet"
-        )
-    t, f = _label_tables(psi, word)[psi]
+    t, f = _label_tables(_subformulas_in(psi, word), word)[psi]
     if t[0]:
         return Truth.TRUE
     if f[0]:
@@ -240,11 +230,7 @@ def eval_lasso_two_valued(psi: Formula, word: LassoWord) -> bool:
     Runs the same fixpoint machinery with falsehood as the complement
     of truth, so only the true-side tables are needed.
     """
-    missing = atoms_of(psi) - set(word.alphabet)
-    if missing:
-        raise UnknownAtomError(
-            f"formula atom {sorted(missing)[0]!r} is not in the lasso alphabet"
-        )
+    order = _subformulas_in(psi, word)
     n = word.length
     for i, letter in enumerate(word.letters):
         if letter_atoms(letter) != set(word.alphabet):
@@ -252,7 +238,7 @@ def eval_lasso_two_valued(psi: Formula, word: LassoWord) -> bool:
     succ = [word.successor(i) for i in range(n)]
     letters = word.letters
     tables: dict[Formula, list[bool]] = {}
-    for g in _subformulas_bottom_up(psi):
+    for g in order:
         if isinstance(g, Atom):
             t = [(g.name, True) in letters[i] for i in range(n)]
         elif isinstance(g, TrueConst):

@@ -9,7 +9,7 @@ formula is canonical: no node is a negation of a negation.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 
 class FormulaSyntaxError(ValueError):
@@ -154,192 +154,148 @@ def is_atom_name(text: str) -> bool:
 # Lexer / parser
 # ---------------------------------------------------------------------------
 
-_UNARY_KEYWORDS = {"X": Next, "F": Finally, "G": Globally}
+#: The tokens one character long; "->" is the only longer operator, and
+#: every other token is a word (an atom, `true` or `false`).
+_SYMBOLS = frozenset("()!&|XFGUR")
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-def _lex(text: str) -> Iterator[_Token]:
+def _lex(text: str) -> Iterator[tuple[str, int]]:
+    """The tokens of `text` with their positions, then ("", len(text))."""
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
-            continue
-        if ch in "()!&|":
-            kind = {"(": "lparen", ")": "rparen", "!": "not", "&": "and", "|": "or"}[ch]
-            yield _Token(kind, ch, i)
+        elif ch in _SYMBOLS:
+            yield ch, i
             i += 1
-        elif ch == "-":
-            if text.startswith("->", i):
-                yield _Token("implies", "->", i)
-                i += 2
-            else:
-                raise FormulaSyntaxError(f"unknown token {ch!r}", i)
-        elif ch in "XFG":
-            yield _Token("unary", ch, i)
-            i += 1
-        elif ch == "U":
-            yield _Token("until", ch, i)
-            i += 1
-        elif ch == "R":
-            yield _Token("release", ch, i)
-            i += 1
+        elif text.startswith("->", i):
+            yield "->", i
+            i += 2
         else:
             m = ATOM_NAME_RE.match(text, i)
             if m is None:
                 raise FormulaSyntaxError(f"unknown token {ch!r}", i)
-            word = m.group()
-            if word == "true":
-                yield _Token("true", word, i)
-            elif word == "false":
-                yield _Token("false", word, i)
-            else:
-                yield _Token("atom", word, i)
+            yield m.group(), i
             i = m.end()
-    yield _Token("end", "", n)
+    yield "", n
 
 
-#: Deepest nesting a formula may have.  Each operator and each pair of
-#: parentheses on a path from the whole formula down to an atom counts
-#: one level.  The bound keeps the parser and the recursive functions
-#: over formulas (desugaring, printing, closures) well inside Python's
-#: default recursion limit.
+#: Deepest nesting a formula text may have.  Each operator and each pair
+#: of parentheses on a path from the whole formula down to an atom counts
+#: one level.  Nothing in the library recurses over formulas, so this is
+#: an input policy; `repr` and pickling of a node still recurse.
 MAX_NESTING = 100
 
-_Parsed = tuple[Formula, int]
+#: Binary operator token -> (precedence, right-associative, node class);
+#: a higher precedence binds tighter.
+_BINARY: dict[str, tuple[int, bool, type]] = {
+    "->": (1, True, Implies),
+    "|": (2, False, Or),
+    "&": (3, False, And),
+    "U": (4, True, Until),
+    "R": (4, True, Release),
+}
+#: The same for the tokens that open a level before an operand.  Prefix
+#: operators bind tighter than every binary one; an open parenthesis is
+#: reduced by nothing but its ")".
+_OPENING: dict[str, tuple[int, bool, Optional[type]]] = {
+    "!": (5, True, Not),
+    "X": (5, True, Next),
+    "F": (5, True, Finally),
+    "G": (5, True, Globally),
+    "(": (0, True, None),
+}
+#: What any other token after an operand does: it reduces every open
+#: operator down to the innermost open parenthesis.
+_CLOSE = (0, False, None)
 
 
-class _Parser:
-    """Recursive descent; every level returns a formula with its nesting
-    height, so that too deep an input fails as a syntax error.
+def _checked(height: int, pos: int) -> int:
+    if height > MAX_NESTING:
+        raise FormulaSyntaxError(f"formula nests deeper than {MAX_NESTING} levels", pos)
+    return height
 
-    `depth` counts the parentheses, unary operators and right-recursive
-    operators currently open.  Each of them adds a level to the result,
-    so the count reaches MAX_NESTING only on inputs that nest too deep
-    anyway; checking it stops the recursion before the stack runs out.
-    """
 
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
-        self.depth = 0
-
-    @property
-    def head(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, expected: str) -> FormulaSyntaxError:
-        tok = self.head
-        shown = repr(tok.text) if tok.kind != "end" else "end of input"
-        return FormulaSyntaxError(f"expected {expected}, found {shown}", tok.pos)
-
-    def checked(self, height: int, tok: _Token) -> int:
-        if height > MAX_NESTING:
-            raise FormulaSyntaxError(
-                f"formula nests deeper than {MAX_NESTING} levels", tok.pos
-            )
-        return height
-
-    def nested(self, tok: _Token, parse_operand: Callable[[], _Parsed]) -> _Parsed:
-        """Parse the operand that follows `tok`, one level deeper."""
-        self.depth += 1
-        self.checked(self.depth, tok)
-        parsed = parse_operand()
-        self.depth -= 1
-        return parsed
-
-    def node(self, tok: _Token, kind: type, *operands: _Parsed) -> _Parsed:
-        height = 1 + max(h for _, h in operands)
-        return kind(*(f for f, _ in operands)), self.checked(height, tok)
-
-    # Precedence, loosest first: -> | & (U, R) unary.
-    def implies_level(self) -> _Parsed:
-        left = self.or_level()
-        if self.head.kind == "implies":
-            tok = self.advance()
-            return self.node(tok, Implies, left, self.nested(tok, self.implies_level))
-        return left
-
-    def or_level(self) -> _Parsed:
-        f = self.and_level()
-        while self.head.kind == "or":
-            f = self.node(self.advance(), Or, f, self.and_level())
-        return f
-
-    def and_level(self) -> _Parsed:
-        f = self.until_level()
-        while self.head.kind == "and":
-            f = self.node(self.advance(), And, f, self.until_level())
-        return f
-
-    def until_level(self) -> _Parsed:
-        left = self.unary_level()
-        if self.head.kind in ("until", "release"):
-            tok = self.advance()
-            kind = Until if tok.kind == "until" else Release
-            return self.node(tok, kind, left, self.nested(tok, self.until_level))
-        return left
-
-    def unary_level(self) -> _Parsed:
-        tok = self.head
-        if tok.kind == "not":
-            self.advance()
-            return self.node(tok, Not, self.nested(tok, self.unary_level))
-        if tok.kind == "unary":
-            self.advance()
-            kind = _UNARY_KEYWORDS[tok.text]
-            return self.node(tok, kind, self.nested(tok, self.unary_level))
-        return self.atom_level()
-
-    def atom_level(self) -> _Parsed:
-        tok = self.head
-        if tok.kind == "atom":
-            self.advance()
-            return Atom(tok.text), 0
-        if tok.kind == "true":
-            self.advance()
-            return TRUE, 0
-        if tok.kind == "false":
-            self.advance()
-            return FalseConst(), 0
-        if tok.kind == "lparen":
-            self.advance()
-            f, height = self.nested(tok, self.implies_level)
-            if self.head.kind != "rparen":
-                raise self.fail("')'")
-            self.advance()
-            return f, self.checked(height + 1, tok)
-        raise self.fail("a formula")
+def _expected(what: str, word: str, pos: int) -> FormulaSyntaxError:
+    shown = repr(word) if word else "end of input"
+    return FormulaSyntaxError(f"expected {what}, found {shown}", pos)
 
 
 def parse(text: str) -> Formula:
     """Parse surface LTL text into a formula tree.
 
-    Raises FormulaSyntaxError on empty input, unknown tokens, unexpected
+    Precedence, loosest first: -> | & (U, R) prefix; ->, U and R
+    associate to the right, & and | to the left.  Raises
+    FormulaSyntaxError on empty input, unknown tokens, unexpected
     tokens, or nesting deeper than MAX_NESTING levels, reporting the
     character position.
     """
     tokens = list(_lex(text))
-    if tokens[0].kind == "end":
+    if not tokens[0][0]:
         raise FormulaSyntaxError("empty input", 0)
-    parser = _Parser(tokens)
-    f, _height = parser.implies_level()
-    if parser.head.kind != "end":
-        raise parser.fail("end of input")
-    return f
+    # One operator-precedence loop over explicit stacks: `operands` holds
+    # each operand with its nesting height, `pending` each open operator
+    # or parenthesis as (precedence, right-associative, node class,
+    # position).  `depth` counts the open prefix operators, parentheses
+    # and right-associative operators.  Each of them adds a level to the
+    # result, so checking `depth` as it grows rejects a deep input before
+    # its operands pile up.
+    operands: list[tuple[Formula, int]] = []
+    pending: list[tuple[int, bool, Optional[type], int]] = []
+    depth = 0
+    read = iter(tokens)
+    while True:
+        # An operand: prefix operators and open parentheses, then a word.
+        word, pos = next(read)
+        while word in _OPENING:
+            depth = _checked(depth + 1, pos)
+            pending.append((*_OPENING[word], pos))
+            word, pos = next(read)
+        if word == "true":
+            operands.append((TRUE, 0))
+        elif word == "false":
+            operands.append((FalseConst(), 0))
+        elif word[:1].islower():
+            operands.append((Atom(word), 0))
+        else:
+            raise _expected("a formula", word, pos)
+        # After an operand: the next token reduces the open operators that
+        # bind tighter than it, and those that bind as tight and associate
+        # to the left.  A binary operator then waits for its right operand;
+        # ")" closes its parenthesis.
+        while True:
+            word, pos = next(read)
+            prec, right, kind = _BINARY.get(word, _CLOSE)
+            while pending:
+                top_prec, top_right, top_kind, top_pos = pending[-1]
+                if top_prec < prec or top_prec == prec and top_right:
+                    break
+                pending.pop()
+                depth -= top_right
+                if issubclass(top_kind, _Unary):
+                    child, height = operands.pop()
+                    operands.append((top_kind(child), _checked(height + 1, top_pos)))
+                else:
+                    (rhs, rhs_height), (lhs, lhs_height) = operands.pop(), operands.pop()
+                    height = 1 + max(lhs_height, rhs_height)
+                    operands.append((top_kind(lhs, rhs), _checked(height, top_pos)))
+            if kind is not None:
+                if right:
+                    depth = _checked(depth + 1, pos)
+                pending.append((prec, right, kind, pos))
+                break
+            if word == ")" and pending:
+                open_pos = pending.pop()[3]
+                depth -= 1
+                f, height = operands.pop()
+                operands.append((f, _checked(height + 1, open_pos)))
+            elif pending:
+                raise _expected("')'", word, pos)
+            elif word:
+                raise _expected("end of input", word, pos)
+            else:
+                return operands[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +310,28 @@ def negated(f: Formula) -> Formula:
     return Not(f)
 
 
+def _operands(f: Formula) -> tuple[Formula, ...]:
+    if isinstance(f, _Binary):
+        return (f.left, f.right)
+    if isinstance(f, _Unary):
+        return (f.child,)
+    return ()
+
+
+def subformulas(f: Formula) -> list[Formula]:
+    """Every distinct node of `f`, smallest first, so that each comes
+    after its operands.  Nodes of equal size keep the order in which a
+    depth-first walk from `f` finds them."""
+    found = {f: None}
+    stack = [f]
+    while stack:
+        for child in _operands(stack.pop()):
+            if child not in found:
+                found[child] = None
+                stack.append(child)
+    return sorted(found, key=formula_size)
+
+
 def desugar(f: Formula) -> Formula:
     """Rewrite a surface formula into the core grammar.
 
@@ -361,30 +339,34 @@ def desugar(f: Formula) -> Formula:
     F p becomes true U p, G p becomes !(true U !p), and false becomes
     !true.  The result is canonical (no double negation).
     """
-    match f:
-        case Atom() | TrueConst():
-            return f
-        case FalseConst():
-            return Not(TRUE)
-        case Not(child):
-            return negated(desugar(child))
-        case And(left, right):
-            return And(desugar(left), desugar(right))
-        case Or(left, right):
-            return negated(And(negated(desugar(left)), negated(desugar(right))))
-        case Implies(left, right):
-            return negated(And(desugar(left), negated(desugar(right))))
-        case Next(child):
-            return Next(desugar(child))
-        case Until(left, right):
-            return Until(desugar(left), desugar(right))
-        case Release(left, right):
-            return negated(Until(negated(desugar(left)), negated(desugar(right))))
-        case Finally(child):
-            return Until(TRUE, desugar(child))
-        case Globally(child):
-            return negated(Until(TRUE, negated(desugar(child))))
-    raise TypeError(f"not a formula: {f!r}")
+    core: dict[Formula, Formula] = {}
+    for g in subformulas(f):
+        match g:
+            case Atom() | TrueConst():
+                core[g] = g
+            case FalseConst():
+                core[g] = Not(TRUE)
+            case Not(child):
+                core[g] = negated(core[child])
+            case And(left, right):
+                core[g] = And(core[left], core[right])
+            case Or(left, right):
+                core[g] = negated(And(negated(core[left]), negated(core[right])))
+            case Implies(left, right):
+                core[g] = negated(And(core[left], negated(core[right])))
+            case Next(child):
+                core[g] = Next(core[child])
+            case Until(left, right):
+                core[g] = Until(core[left], core[right])
+            case Release(left, right):
+                core[g] = negated(Until(negated(core[left]), negated(core[right])))
+            case Finally(child):
+                core[g] = Until(TRUE, core[child])
+            case Globally(child):
+                core[g] = negated(Until(TRUE, negated(core[child])))
+            case _:
+                raise TypeError(f"not a formula: {g!r}")
+    return core[f]
 
 
 def parse_core(text: str) -> Formula:
@@ -399,32 +381,16 @@ def formula_size(f: Formula) -> int:
 
 def atoms_of(f: Formula) -> frozenset[str]:
     """Names of all atoms occurring in the formula."""
-    if isinstance(f, Atom):
-        return frozenset((f.name,))
-    if isinstance(f, (TrueConst, FalseConst)):
-        return frozenset()
-    if isinstance(f, (Not, Next, Finally, Globally)):
-        return atoms_of(f.child)
-    return atoms_of(f.left) | atoms_of(f.right)
+    return frozenset(g.name for g in subformulas(f) if isinstance(g, Atom))
 
 
 def check_core(f: Formula) -> None:
     """Raise ValueError unless f is a canonical core formula."""
-    if isinstance(f, Atom) or isinstance(f, TrueConst):
-        return
-    if isinstance(f, Not):
-        if isinstance(f.child, Not):
-            raise ValueError(f"double negation is not canonical: {f!r}")
-        check_core(f.child)
-        return
-    if isinstance(f, Next):
-        check_core(f.child)
-        return
-    if isinstance(f, (And, Until)):
-        check_core(f.left)
-        check_core(f.right)
-        return
-    raise ValueError(f"not a core connective: {f!r}")
+    for g in subformulas(f):
+        if not isinstance(g, CORE_KINDS):
+            raise ValueError(f"not a core connective: {g!r}")
+        if isinstance(g, Not) and isinstance(g.child, Not):
+            raise ValueError(f"double negation is not canonical: {g!r}")
 
 
 # Printer precedence: atoms 4, unary 3, U 2, & 1.
@@ -440,30 +406,38 @@ def _prec(f: Formula) -> int:
     raise ValueError(f"not a core formula: {f!r}")
 
 
-def _wrap(f: Formula, min_prec: int) -> str:
-    text = format_formula(f)
-    if _prec(f) < min_prec:
-        return f"({text})"
+def _wrapped(text: dict[Formula, str], g: Formula, min_prec: int) -> str:
+    """The text of `g`, in parentheses if it binds looser than `min_prec`."""
+    return text[g] if _prec(g) >= min_prec else f"({text[g]})"
+
+
+def _texts(f: Formula) -> dict[Formula, str]:
+    """The printed text of every subformula of a core formula, made
+    bottom-up from its operands' texts."""
+    text: dict[Formula, str] = {}
+    for g in subformulas(f):
+        if isinstance(g, Atom):
+            text[g] = g.name
+        elif isinstance(g, TrueConst):
+            text[g] = "true"
+        elif isinstance(g, Not):
+            text[g] = "!" + _wrapped(text, g.child, 3)
+        elif isinstance(g, Next):
+            text[g] = "X " + _wrapped(text, g.child, 3)
+        elif isinstance(g, Until):
+            # Right-associative: the left operand needs parens when it is
+            # itself an until; the right one only when it is a conjunction.
+            text[g] = f"{_wrapped(text, g.left, 3)} U {_wrapped(text, g.right, 2)}"
+        elif isinstance(g, And):
+            text[g] = f"{_wrapped(text, g.left, 1)} & {_wrapped(text, g.right, 2)}"
+        else:
+            raise ValueError(f"not a core formula: {g!r}")
     return text
 
 
 def format_formula(f: Formula) -> str:
     """Render a core formula as text that parses back to it."""
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, TrueConst):
-        return "true"
-    if isinstance(f, Not):
-        return "!" + _wrap(f.child, 3)
-    if isinstance(f, Next):
-        return "X " + _wrap(f.child, 3)
-    if isinstance(f, Until):
-        # Right-associative: the left operand needs parens when it is
-        # itself an until; the right one only when it is a conjunction.
-        return f"{_wrap(f.left, 3)} U {_wrap(f.right, 2)}"
-    if isinstance(f, And):
-        return f"{_wrap(f.left, 1)} & {_wrap(f.right, 2)}"
-    raise ValueError(f"not a core formula: {f!r}")
+    return _texts(f)[f]
 
 
 # ---------------------------------------------------------------------------
@@ -488,31 +462,16 @@ class Closure:
         check_core(formula)
         self.formula = formula
 
-        seen: set[Formula] = set()
-        stack = [formula]
-        while stack:
-            g = stack.pop()
-            if isinstance(g, Not):
-                g = g.child
-            if g in seen:
-                continue
-            seen.add(g)
-            if isinstance(g, Next):
-                stack.append(g.child)
-            elif isinstance(g, (And, Until)):
-                stack.append(g.left)
-                stack.append(g.right)
-
-        text = {b: format_formula(b) for b in seen}
+        text = _texts(formula)
         self.bases: tuple[Formula, ...] = tuple(
-            sorted(seen, key=lambda b: (b._size, text[b]))
+            sorted((g for g in text if not isinstance(g, Not)), key=lambda b: (b._size, text[b]))
         )
         #: Rendered text of each base and of its negation, in base order.
         self.base_texts: tuple[str, ...] = tuple(text[b] for b in self.bases)
         # A base is never negation-rooted, so its negation prints as
         # `format_formula(Not(b))` does: "!" and the base's text, wrapped.
         self.negated_texts: tuple[str, ...] = tuple(
-            "!" + (text[b] if _prec(b) >= 3 else f"({text[b]})") for b in self.bases
+            "!" + _wrapped(text, b, 3) for b in self.bases
         )
         self.index: dict[Formula, int] = {b: i for i, b in enumerate(self.bases)}
 

@@ -163,6 +163,27 @@ class TestHoa:
                 '[!0 & !1] 2\nState: 0 "∅" {0}\n[!0 & !1] 1\nState: 1 "',
                 "state 0 is declared twice",
             ),
+            ("acc-name: generalized-Buchi 1", "acc-name: Rabin 3", "unsupported acc-name 'Rabin'"),
+            (
+                "acc-name: generalized-Buchi 1",
+                "acc-name: generalized-Buchi 2",
+                "acc-name names 2 sets, Acceptance: has 1",
+            ),
+            (
+                "acc-name: generalized-Buchi 1",
+                "acc-name: generalized-Buchi one",
+                "acc-name set count 'one'",
+            ),
+            (
+                "properties: trans-labels explicit-labels state-acc",
+                "properties: trans-acc deterministic",
+                "unsupported property 'trans-acc'",
+            ),
+            (
+                "properties: trans-labels explicit-labels state-acc",
+                "properties: trans-labels explicit-labels state-acc deterministic",
+                "unsupported property 'deterministic'",
+            ),
         ],
     )
     def test_reader_rejects_malformed_fields(self, old, new, message):

@@ -16,6 +16,24 @@ formula_text = st.one_of(
     st.text(max_size=30),
 )
 
+#: Wrappers that each add one or two levels to a formula text.
+LEVELS = ["X {}", "!{}", "F ({})", "({})", "a U {}", "{} & b", "{} | a", "a -> {}", "{} R b", "G {}"]
+
+
+@st.composite
+def deep_formula_text(draw):
+    """Texts 90 to 250 levels deep, around the nesting limit, sometimes
+    with one character dropped or inserted."""
+    text = "a"
+    for wrapper in draw(st.lists(st.sampled_from(LEVELS), min_size=90, max_size=250)):
+        text = wrapper.format(text)
+    at = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(["", "drop", *"()!&|UX@"]))
+    if edit == "drop":
+        return text[:at] + text[at + 1 :]
+    return text[:at] + edit + text[at:]
+
+
 letter_text = st.one_of(
     st.text(alphabet="ab,;! \t9_", max_size=30),
     st.text(max_size=15),
@@ -84,6 +102,15 @@ def model_documents(draw):
 @FUZZ
 @given(formula_text)
 def test_parse_core_raises_only_value_errors(text):
+    try:
+        parse_core(text)
+    except ValueError:
+        pass
+
+
+@FUZZ
+@given(deep_formula_text())
+def test_parse_core_of_deep_texts_raises_only_value_errors(text):
     try:
         parse_core(text)
     except ValueError:

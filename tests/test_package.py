@@ -1,5 +1,7 @@
-"""The package's lazy exports, and the modules each CLI spawn loads."""
+"""The package's lazy exports, the modules each CLI spawn loads, and
+the formula modules' freedom from recursion."""
 
+import ast
 import os
 import re
 import subprocess
@@ -157,3 +159,61 @@ class TestModulesPerSpawn:
         loaded = set(out.split())
         assert not loaded & set(AUTOMATON_MODULES)
         assert "triltl.semantics" in loaded
+
+
+def functions_on_call_cycles(path):
+    """The functions of the module at `path` that can reach themselves.
+
+    An edge runs from a function to every function it names: a bare name
+    means any function of that name that is not a method, and
+    `self.name` a method of the enclosing class.  A reference counts as a
+    call, so passing a function on is an edge too.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defs = []  # (qualified name, class name or None, node)
+    stack = [(tree, "", None)]
+    while stack:
+        node, prefix, cls = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                stack.append((child, prefix + child.name + ".", child.name))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                defs.append((name, cls, child))
+                stack.append((child, name + ".", None))
+            else:
+                stack.append((child, prefix, cls))
+    free, methods = {}, {}
+    for name, cls, node in defs:
+        if cls is None:
+            free.setdefault(node.name, set()).add(name)
+        else:
+            methods[cls, node.name] = name
+    edges = {}
+    for name, cls, node in defs:
+        edges[name] = set()
+        for ref in ast.walk(node):
+            if isinstance(ref, ast.Name):
+                edges[name] |= free.get(ref.id, set())
+            elif isinstance(ref, ast.Attribute) and isinstance(ref.value, ast.Name):
+                if ref.value.id == "self" and (cls, ref.attr) in methods:
+                    edges[name].add(methods[cls, ref.attr])
+    on_cycle = []
+    for start in edges:
+        seen, todo = set(), list(edges[start])
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo.extend(edges[name])
+        if start in seen:
+            on_cycle.append(start)
+    return sorted(on_cycle)
+
+
+@pytest.mark.parametrize("module", ["syntax", "semantics"])
+def test_formula_modules_do_not_recurse(module):
+    """Formulas built through the constructors can nest deeper than the
+    recursion limit, so no function over them may call itself."""
+    path = ROOT / "src" / "triltl" / f"{module}.py"
+    assert functions_on_call_cycles(path) == []

@@ -33,8 +33,10 @@ from triltl import (
 )
 from helpers import CORPUS
 from triltl import syntax
-from triltl.semantics import _subformulas_bottom_up
+from triltl.syntax import subformulas as _subformulas_bottom_up
 from triltl.syntax import check_core
+from triltl.semantics import eval_lasso, eval_lasso_two_valued, lasso
+from triltl.truth import Truth
 
 A, B, P, Q = Atom("a"), Atom("b"), Atom("p"), Atom("q")
 
@@ -150,6 +152,79 @@ class TestNestingLimit:
         with pytest.raises(FormulaSyntaxError) as err:
             parse("X " * 1200 + "a")
         assert err.value.position == 2 * MAX_NESTING
+
+
+class TestParseErrors:
+    """Each kind of syntax error, with its exact message and position."""
+
+    SHAPES = TestNestingLimit.SHAPES
+    NESTS = f"formula nests deeper than {MAX_NESTING} levels"
+
+    @pytest.mark.parametrize(
+        "text,message,position",
+        [
+            ("   ", "empty input", 0),
+            ("a & @b", "unknown token '@'", 4),
+            ("a - b", "unknown token '-'", 2),
+            ("a U", "expected a formula, found end of input", 3),
+            ("a & & b", "expected a formula, found '&'", 4),
+            (")", "expected a formula, found ')'", 0),
+            ("(a U b", "expected ')', found end of input", 6),
+            ("(a b)", "expected ')', found 'b'", 3),
+            ("a b", "expected end of input, found 'b'", 2),
+            ("a X b", "expected end of input, found 'X'", 2),
+            ("a )", "expected end of input, found ')'", 2),
+            # The first level too many: prefix operators, parentheses and
+            # right-associative operators fail as they open; left chains
+            # when the operator that makes them too high is reduced.
+            (SHAPES["next"](MAX_NESTING + 1), NESTS, 2 * MAX_NESTING),
+            (SHAPES["parens"](MAX_NESTING + 1), NESTS, MAX_NESTING),
+            (SHAPES["until"](MAX_NESTING + 1), NESTS, 4 * MAX_NESTING + 2),
+            (SHAPES["and"](MAX_NESTING + 1), NESTS, 4 * MAX_NESTING + 2),
+            (SHAPES["not-or"](MAX_NESTING + 1), NESTS, 4 * MAX_NESTING - 1),
+            # Levels come in pairs here, so MAX_NESTING + 1 still parses.
+            (SHAPES["globally-parens"](MAX_NESTING + 2), NESTS, 3 * (MAX_NESTING // 2)),
+        ],
+        ids=lambda v: v[:20] if isinstance(v, str) else None,
+    )
+    def test_message_and_position(self, text, message, position):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+
+#: One step of each deep shape, applied to the formula built so far.
+DEEP_SHAPES = {
+    "next": lambda f, i: Next(f),
+    "left-and": lambda f, i: And(f, B),
+    "right-until": lambda f, i: Until(B, f),
+    "surface-mix": lambda f, i: Or(f, B) if i % 3 == 0 else Globally(f) if i % 3 == 1 else Not(f),
+}
+
+
+class TestDeepFormulas:
+    """Formulas built through the constructors may nest far deeper than
+    the parser allows and than Python's recursion limit."""
+
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_walks_do_not_recurse(self, shape):
+        levels = 3 * sys.getrecursionlimit()
+        f = A
+        for i in range(levels):
+            f = DEEP_SHAPES[shape](f, i)
+        core = desugar(f)
+        assert atoms_of(f) == ({"a"} if shape == "next" else {"a", "b"})
+        check_core(core)
+        text = format_formula(core)
+        closure = closure_of(core)
+        base = core.child if isinstance(core, Not) else core
+        i = closure.index[base]
+        assert text == (closure.base_texts[i] if base is core else closure.negated_texts[i])
+        for letter in ({("a", True), ("b", False)}, {("a", False), ("b", True)}):
+            word = lasso([], [frozenset(letter)], ["a", "b"])
+            expected = Truth.TRUE if eval_lasso_two_valued(core, word) else Truth.FALSE
+            assert eval_lasso(core, word) is expected
 
 
 class TestDesugar:
