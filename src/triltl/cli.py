@@ -82,7 +82,7 @@ def _run_translate(args: argparse.Namespace) -> int:
     print(
         f"states={len(automaton.states)} "
         f"initial={len(automaton.initial)} "
-        f"accsets={len(automaton.acceptance)}"
+        f"accsets={automaton.all_marks.bit_length()}"
     )
     return EXIT_OK
 

@@ -25,16 +25,12 @@ class HoaFormatError(ValueError):
 
 def _acceptance_texts(g: Gnba, sep: str) -> list[str]:
     """Per state, the indices of the acceptance sets holding it, joined
-    by `sep`, from one pass over `g.acceptance`."""
-    masks = [0] * len(g.states)
-    for k, members in enumerate(g.acceptance):
-        for sid in members:
-            masks[sid] |= 1 << k
+    by `sep`: one text per distinct mark of `g.marks`."""
+    count = g.all_marks.bit_length()
     texts = {
-        mask: sep.join(str(k) for k in range(len(g.acceptance)) if mask >> k & 1)
-        for mask in set(masks)
+        mask: sep.join(str(k) for k in range(count) if mask >> k & 1) for mask in set(g.marks)
     }
-    return [texts[mask] for mask in masks]
+    return list(map(texts.__getitem__, g.marks))
 
 
 def _target_names(g: Gnba, ids: list[str]) -> dict[int, list[str]]:
@@ -109,7 +105,7 @@ _PROPERTIES = ("trans-labels", "explicit-labels", "state-acc")
 def to_hoa(g: Gnba) -> str:
     """Render the automaton in HOA v1 with state-based generalized
     Buchi acceptance."""
-    k = len(g.acceptance)
+    k = g.all_marks.bit_length()
     lines = ["HOA: v1", f"States: {len(g.states)}"]
     for sid in sorted(g.initial):
         lines.append(f"Start: {sid}")

@@ -15,7 +15,7 @@ are asked for: `check_model` reads it letter by letter, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from itertools import compress, product, repeat
 from typing import Optional, Sequence
 
@@ -125,9 +125,20 @@ class Gnba:
     initial: frozenset[int]
     patterns: tuple[Letter, ...]
     succ: tuple[tuple[int, ...], ...]
-    acceptance: tuple[frozenset[int], ...]
+    #: Per state, its acceptance bitmask as `LazyFamily.marks` holds it.
+    marks: tuple[int, ...]
     #: Per state, `format_state` of its vector.
     labels: tuple[str, ...] = field(repr=False, compare=False)
+
+    @property
+    def all_marks(self) -> int:
+        """One bit per acceptance set: per until, then the full set."""
+        return (1 << (len(self.closure.untils) + 1)) - 1
+
+    @cached_property
+    def acceptance(self) -> tuple[frozenset[int], ...]:
+        """The acceptance sets of `acceptance_sets`, read off `marks` on first use."""
+        return _sets_of(self.marks, self.all_marks)
 
     def transitions(self, sid: int, letter: Letter) -> tuple[int, ...]:
         """Successor ids for a state under a letter (empty on guard mismatch)."""
@@ -300,17 +311,22 @@ def successors(vec: StateVec, letter: Letter, closure: Closure) -> list[StateVec
     return [family._tables.vecs[family._leaves[t]] for t in family.targets(q, 0)]
 
 
+def _sets_of(marks: Sequence[int], all_marks: int) -> tuple[frozenset[int], ...]:
+    """Per bit k of `all_marks`, the indices of the `marks` with bit k."""
+    return tuple(
+        frozenset(compress(range(len(marks)), map((1 << k).__and__, marks)))
+        for k in range(all_marks.bit_length())
+    )
+
+
 def acceptance_sets(
     states: Sequence[StateVec], closure: Closure
 ) -> list[frozenset[int]]:
     """One acceptance set per until base, in closure order, then the
     full state set.  Raises ValueError as `successors` does."""
     family = _pin_free_family(closure)
-    masks = [family.marks[_state_id(family, vec)] for vec in states]
-    return [
-        frozenset(q for q, mask in enumerate(masks) if mask >> k & 1)
-        for k in range(len(closure.untils) + 1)
-    ]
+    marks = [family.marks[_state_id(family, vec)] for vec in states]
+    return list(_sets_of(marks, family.all_marks))
 
 
 def _read_in_full(
@@ -340,11 +356,7 @@ def _read_in_full(
     links = sorted(family._distinct)
     by_link = {link: tuple(map(get, tables.walk(link))) for link in links}
     succ = tuple(map(by_link.__getitem__, family._links))
-    marks = family.marks
-    acceptance = tuple(
-        frozenset(compress(range(len(marks)), map((1 << k).__and__, marks)))
-        for k in range(len(closure.untils) + 1)
-    )
+    marks = tuple(family.marks)
     labels = tuple(tables.labels(closure))
     return {
         value: Gnba(
@@ -354,7 +366,7 @@ def _read_in_full(
             initial=frozenset(family.roots(value, 0)),
             patterns=patterns,
             succ=succ,
-            acceptance=acceptance,
+            marks=marks,
             labels=labels,
         )
         for value in values
@@ -400,11 +412,14 @@ class Nba:
     succ: tuple[tuple[int, ...], ...]
     accepting: frozenset[int]
 
-    @property
-    def acceptance(self) -> tuple[frozenset[int], ...]:
-        """The accepting states as the one acceptance set, so code written
-        for generalized acceptance reads an Nba too."""
-        return (self.accepting,)
+    #: The bit of the one acceptance set, so that code written for
+    #: generalized acceptance reads an Nba too.
+    all_marks = 1
+
+    @cached_property
+    def marks(self) -> tuple[int, ...]:
+        """Per state, 1 if it is accepting and 0 if not."""
+        return tuple(int(q in self.accepting) for q in range(len(self.states)))
 
 
 def degeneralize(g: Gnba) -> Nba:
@@ -414,17 +429,17 @@ def degeneralize(g: Gnba) -> Nba:
     owed set; accepting states are those of the first set at counter 1.
     The accepted language is unchanged.
     """
-    k = len(g.acceptance)
+    k = g.all_marks.bit_length()
     states = tuple(
         (gid, counter) for gid in range(len(g.states)) for counter in range(1, k + 1)
     )
     patterns = tuple(g.patterns[gid] for gid, _ in states)
     succ = []
     for gid, counter in states:
-        nxt = counter % k + 1 if gid in g.acceptance[counter - 1] else counter
+        nxt = counter % k + 1 if g.marks[gid] >> counter - 1 & 1 else counter
         succ.append(tuple(tgt * k + (nxt - 1) for tgt in g.succ[gid]))
     initial = frozenset(gid * k for gid in g.initial)
-    accepting = frozenset(gid * k for gid in g.acceptance[0])
+    accepting = frozenset(gid * k for gid, mask in enumerate(g.marks) if mask & 1)
     return Nba(
         closure=g.closure,
         alphabet=g.alphabet,

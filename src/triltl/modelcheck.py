@@ -195,11 +195,8 @@ class _Lookup:
         self._succ = automaton.succ
         self._initial = automaton.initial
         self.nletters = len(ids)
-        self.marks = [0] * len(self._patterns)
-        for i, members in enumerate(automaton.acceptance):
-            for q in members:
-                self.marks[q] |= 1 << i
-        self.all_marks = (1 << len(automaton.acceptance)) - 1
+        self.marks = automaton.marks
+        self.all_marks = automaton.all_marks
 
     def roots(self, letter: int) -> list[int]:
         patterns = self._patterns

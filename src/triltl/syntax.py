@@ -69,10 +69,22 @@ class Formula:
         return (self.__class__, self._fields())
 
     def __repr__(self) -> str:
-        shown = ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__match_args__, self._fields())
-        )
-        return f"{self.__class__.__qualname__}({shown})"
+        # The text still to write and the nodes still to print, on one
+        # explicit stack, so that a deep formula prints without recursion.
+        out: list[str] = []
+        todo: list = [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, Formula):
+                parts = [f"{item.__class__.__qualname__}("]
+                for k, (name, value) in enumerate(zip(item.__match_args__, item._fields())):
+                    parts.append(f"{', ' if k else ''}{name}=")
+                    parts.append(value if isinstance(value, Formula) else repr(value))
+                parts.append(")")
+                todo += reversed(parts)
+            else:
+                out.append(item)
+        return "".join(out)
 
 
 class Atom(Formula):
@@ -184,7 +196,7 @@ def _lex(text: str) -> Iterator[tuple[str, int]]:
 #: Deepest nesting a formula text may have.  Each operator and each pair
 #: of parentheses on a path from the whole formula down to an atom counts
 #: one level.  Nothing in the library recurses over formulas, so this is
-#: an input policy; `repr` and pickling of a node still recurse.
+#: an input policy; only pickling of a node still recurses.
 MAX_NESTING = 100
 
 #: Binary operator token -> (precedence, right-associative, node class);

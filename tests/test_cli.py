@@ -42,6 +42,15 @@ class TestTranslate:
         parsed = read_hoa(out.read_text(encoding="utf-8"))
         assert parsed.num_states == 9
 
+    def test_summary_counts_one_set_per_until_and_the_full_set(self, capsys, tmp_path):
+        code, stdout, _ = run(
+            capsys,
+            "translate", "--formula", "a U b", "--alphabet", "a,b",
+            "--value", "top", "--out-hoa", str(tmp_path / "out.hoa"),
+        )
+        assert code == 0
+        assert stdout == "states=13 initial=5 accsets=2\n"
+
     def test_dot_output(self, capsys, tmp_path):
         out = tmp_path / "out.gv"
         code, stdout, _ = run(

@@ -271,12 +271,14 @@ class TestLazyFamily:
             assert lazy.marks[q] == sum(
                 1 << k for k, members in enumerate(eager.acceptance) if source in members
             )
+            assert eager.marks[source] == lazy.marks[q]
             for l, letter in enumerate(letters):
                 targets = lazy.targets(q, l)
                 assert as_eager(targets) == filtered(eager.succ[source], letter)
                 todo += [t for t in targets if t not in seen]
                 seen.update(targets)
         assert lazy.all_marks == (1 << len(eager.acceptance)) - 1
+        assert eager.all_marks == lazy.all_marks
         assert len(lazy.marks) == len(seen)
 
 
@@ -331,6 +333,14 @@ class TestDegeneralize:
         assert n.accepting == frozenset(range(len(g.states)))
         assert n.initial == g.initial
         assert [s for s, _ in n.states] == list(range(len(g.states)))
+
+    @pytest.mark.parametrize("text", ["X a", "a U b", "(a U b) & (b U a)"])
+    def test_marks_are_the_accepting_states(self, text):
+        n = degeneralize(build_automaton(parse_core(text), ["a", "b"], Truth.TRUE))
+        assert n.all_marks == 1
+        assert len(n.marks) == len(n.states)
+        for q in range(len(n.states)):
+            assert n.marks[q] == (q in n.accepting)
 
     def test_state_count_is_product(self):
         g = build_automaton(parse_core("(a U b) & (b U a)"), ["a", "b"], Truth.TRUE)

@@ -226,6 +226,18 @@ class TestDeepFormulas:
             expected = Truth.TRUE if eval_lasso_two_valued(core, word) else Truth.FALSE
             assert eval_lasso(core, word) is expected
 
+    def test_repr_and_error_messages_do_not_recurse(self):
+        levels = 3 * sys.getrecursionlimit()
+        f = A
+        for _ in range(levels):
+            f = Next(f)
+        assert repr(f) == "Next(child=" * levels + "Atom(name='a')" + ")" * levels
+        # Or is not a core connective: each message formats the node.
+        word = lasso([], [frozenset({("a", True), ("b", False)})], ["a", "b"])
+        for call in (check_core, closure_of, lambda g: eval_lasso(g, word)):
+            with pytest.raises(ValueError, match="not a core"):
+                call(Or(f, B))
+
 
 class TestDesugar:
     def test_finally_is_true_until(self):
