@@ -110,6 +110,48 @@ def _level_keys(closure: Closure) -> tuple[list[Optional[list[int]]], int]:
     return consts, root
 
 
+class PatternIndex:
+    """An eager `Gnba` or `Nba` read the way `_product` reads an
+    automaton, and the way `LazyFamily` answers: `roots(l)`,
+    `targets(q, l)`, `marks[q]`, `all_marks` and `nletters`.
+
+    A letter id is a pattern number: `ids` numbers the automaton's
+    distinct patterns in order of first appearance, and every letter
+    that is no state's pattern reads as the one id `len(ids)`, which no
+    state has.  So the index depends on the automaton alone and is built
+    once per automaton (`Gnba.pattern_index`, `Nba.pattern_index`).  It
+    keeps each state's pattern number and the initial states grouped by
+    pattern; `targets` filters a successor list when it is asked for.
+    """
+
+    __slots__ = ("ids", "_pattern_of", "_roots", "_succ", "nletters", "marks", "all_marks")
+
+    def __init__(self, automaton: Gnba | Nba):
+        ids: dict[Letter, int] = {}
+        self._pattern_of = [ids.setdefault(p, len(ids)) for p in automaton.patterns]
+        self.ids = ids
+        self.nletters = len(ids) + 1
+        self._roots: list[list[int]] = [[] for _ in range(self.nletters)]
+        for q in sorted(automaton.initial):
+            self._roots[self._pattern_of[q]].append(q)
+        self._succ = automaton.succ
+        self.marks = automaton.marks
+        self.all_marks = automaton.all_marks
+
+    def letter_id(self, letter: Letter) -> int:
+        """The id of a letter already restricted to the closure's atoms."""
+        return self.ids.get(letter, len(self.ids))
+
+    def roots(self, letter: int) -> list[int]:
+        """Initial states with pattern `letter`, in increasing order."""
+        return self._roots[letter]
+
+    def targets(self, q: int, letter: int) -> list[int]:
+        """Successors of state q with pattern `letter`."""
+        pattern_of = self._pattern_of
+        return [q2 for q2 in self._succ[q] if pattern_of[q2] == letter]
+
+
 @dataclass(frozen=True)
 class Gnba:
     """Generalized Buchi automaton over letters of signed atoms.
@@ -134,6 +176,10 @@ class Gnba:
     def all_marks(self) -> int:
         """One bit per acceptance set: per until, then the full set."""
         return (1 << (len(self.closure.untils) + 1)) - 1
+
+    #: The membership index that `nba_accepts_lasso` and
+    #: `product_nonempty` read, built on first use.
+    pattern_index = cached_property(PatternIndex)
 
     @cached_property
     def acceptance(self) -> tuple[frozenset[int], ...]:
@@ -415,6 +461,9 @@ class Nba:
     #: The bit of the one acceptance set, so that code written for
     #: generalized acceptance reads an Nba too.
     all_marks = 1
+
+    #: As `Gnba.pattern_index`.
+    pattern_index = cached_property(PatternIndex)
 
     @cached_property
     def marks(self) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ from functools import cache, cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .elementary import DEFAULT_CANDIDATE_CAP
-from .gnba import Gnba, LazyFamily, Nba, checked_closure
+from .gnba import Gnba, LazyFamily, Nba, PatternIndex, checked_closure
 from .letters import Letter, restrict_letter
 from .search import accepting_cycle_reachable, first_accepting_lasso
 from .semantics import LassoWord, eval_lasso, lasso
@@ -182,33 +182,17 @@ def _letter_ids(letters: Iterable[Letter]) -> tuple[list[int], dict[Letter, int]
     return emitted, ids
 
 
-class _Lookup:
-    """An eager `Gnba` or `Nba` read the way `_product` reads an
-    automaton, and the way `LazyFamily` answers: `roots(l)`,
-    `targets(q, l)`, `marks[q]`, `all_marks` and `nletters`, for the
-    letters numbered by `ids`."""
-
-    __slots__ = ("_patterns", "_succ", "_initial", "nletters", "marks", "all_marks")
-
-    def __init__(self, automaton: Union[Gnba, Nba], ids: Mapping[Letter, int]):
-        self._patterns = [ids.get(p, -1) for p in automaton.patterns]
-        self._succ = automaton.succ
-        self._initial = automaton.initial
-        self.nletters = len(ids)
-        self.marks = automaton.marks
-        self.all_marks = automaton.all_marks
-
-    def roots(self, letter: int) -> list[int]:
-        patterns = self._patterns
-        return [q for q in sorted(self._initial) if patterns[q] == letter]
-
-    def targets(self, q: int, letter: int) -> list[int]:
-        patterns = self._patterns
-        return [q2 for q2 in self._succ[q] if patterns[q2] == letter]
+def _pattern_ids(index: PatternIndex, letters: Sequence[Letter], atoms: Sequence[str]) -> list[int]:
+    """The id under `index` of each of `letters` restricted to `atoms`.
+    Each distinct letter is restricted and looked up once."""
+    ids = dict.fromkeys(letters)
+    for letter in ids:
+        ids[letter] = index.letter_id(restrict_letter(letter, atoms))
+    return list(map(ids.__getitem__, letters))
 
 
 def _product(
-    automaton: Union[_Lookup, LazyFamily],
+    automaton: Union[PatternIndex, LazyFamily],
     roots: Sequence[int],
     emitted: Sequence[int],
     adjacency: Sequence[Sequence[int]],
@@ -257,7 +241,7 @@ def _product(
 def _model_witness(
     model: TransitionModel,
     emitted: Sequence[int],
-    automaton: Union[_Lookup, LazyFamily],
+    automaton: Union[PatternIndex, LazyFamily],
     initial: Sequence[int],
 ) -> Optional[Witness]:
     """The witness of `product_nonempty` for a model whose states carry
@@ -318,10 +302,10 @@ def product_nonempty(
     breadth-first stem and closed by its shortest loop.
     """
     atoms = automaton.closure.atoms
-    emitted, ids = _letter_ids(letter_of(model, s, atoms) for s in model.states)
-    lookup = _Lookup(automaton, ids)
-    roots = lookup.roots(emitted[model.position[model.initial]])
-    return _model_witness(model, emitted, lookup, roots)
+    index = automaton.pattern_index
+    emitted = _pattern_ids(index, [letter_of(model, s, atoms) for s in model.states], atoms)
+    roots = index.roots(emitted[model.position[model.initial]])
+    return _model_witness(model, emitted, index, roots)
 
 
 def nba_accepts_lasso(automaton: Union[Gnba, Nba], word: LassoWord) -> bool:
@@ -331,16 +315,13 @@ def nba_accepts_lasso(automaton: Union[Gnba, Nba], word: LassoWord) -> bool:
     Decided on the same product as `product_nonempty`, with the word's
     positions as the graph (wrap-around at the end of the loop).
     """
-    atoms = set(automaton.closure.atoms)
-    emitted, ids = _letter_ids(
-        restrict_letter(letter, atoms) for letter in word.letters
-    )
-    lookup = _Lookup(automaton, ids)
+    index = automaton.pattern_index
+    emitted = _pattern_ids(index, word.letters, automaton.closure.atoms)
     # Position i steps to i + 1, the last position back to the loop start.
     positions = [(i,) for i in range(1, len(emitted))]
     positions.append((len(word.stem),))
     return accepting_cycle_reachable(
-        *_product(lookup, lookup.roots(emitted[0]), emitted, positions, 0)
+        *_product(index, index.roots(emitted[0]), emitted, positions, 0)
     )
 
 

@@ -23,7 +23,7 @@ from .letters import (
     make_letter,
     parse_letter_sequence,
 )
-from .syntax import And, Atom, Formula, Next, Not, TrueConst, Until, subformulas
+from .syntax import And, Atom, Formula, Next, Not, TrueConst, Until, short_repr, subformulas
 from .truth import Truth
 
 
@@ -207,7 +207,7 @@ def _label_tables(
                         f[i] = False
                         changed = True
         else:
-            raise ValueError(f"not a core formula: {g!r}")
+            raise ValueError(f"not a core formula: {short_repr(g)}")
         if any(a and b for a, b in zip(t, f)):
             raise RuntimeError("internal error: label tables overlap")
         tables[g] = (t, f)
@@ -262,7 +262,7 @@ def eval_lasso_two_valued(psi: Formula, word: LassoWord) -> bool:
                         t[i] = True
                         changed = True
         else:
-            raise ValueError(f"not a core formula: {g!r}")
+            raise ValueError(f"not a core formula: {short_repr(g)}")
         tables[g] = t
     return tables[psi][0]
 

@@ -9,6 +9,7 @@ formula is canonical: no node is a negation of a negation.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import Iterator, Optional
 
 
@@ -66,12 +67,22 @@ class Formula:
         return tuple(getattr(self, name) for name in self.__match_args__)
 
     def __reduce__(self):
-        return (self.__class__, self._fields())
+        # A flat table in post-order, so that neither pickling nor
+        # unpickling recurses: per distinct node its class and fields,
+        # with each operand node given as [its entry's index].  A list is
+        # never a field, since fields are hashable.
+        order = subformulas(self)
+        index = {g: i for i, g in enumerate(order)}
+        table = tuple(
+            (g.__class__, tuple([index[v]] if isinstance(v, Formula) else v for v in g._fields()))
+            for g in order
+        )
+        return (_from_table, (table,))
 
-    def __repr__(self) -> str:
-        # The text still to write and the nodes still to print, on one
-        # explicit stack, so that a deep formula prints without recursion.
-        out: list[str] = []
+    def _pieces(self) -> Iterator[str]:
+        """The text of `repr`, piece by piece.  The text still to write
+        and the nodes still to print sit on one explicit stack, so that a
+        deep formula prints without recursion."""
         todo: list = [self]
         while todo:
             item = todo.pop()
@@ -83,8 +94,32 @@ class Formula:
                 parts.append(")")
                 todo += reversed(parts)
             else:
-                out.append(item)
-        return "".join(out)
+                yield item
+
+    def __repr__(self) -> str:
+        return "".join(self._pieces())
+
+
+def _from_table(table: tuple) -> Formula:
+    """The last node of a `Formula.__reduce__` table, rebuilt bottom up."""
+    nodes: list[Formula] = []
+    for cls, fields in table:
+        operands = [nodes[v[0]] if isinstance(v, list) else v for v in fields]
+        nodes.append(Formula.__new__(cls, *operands))
+    return nodes[-1]
+
+
+#: How many characters of a node's `repr` an error message shows.
+_SHOWN = 100
+
+
+def short_repr(f) -> str:
+    """The first `_SHOWN` characters of `repr(f)`, then "…" if it is
+    longer.  Error messages name nodes this way: the `repr` of a formula
+    with shared operands grows with its tree size, which can be
+    exponential in its count of distinct nodes."""
+    text = "".join(islice(f._pieces(), _SHOWN + 1)) if isinstance(f, Formula) else repr(f)
+    return text if len(text) <= _SHOWN else text[:_SHOWN] + "…"
 
 
 class Atom(Formula):
@@ -196,7 +231,7 @@ def _lex(text: str) -> Iterator[tuple[str, int]]:
 #: Deepest nesting a formula text may have.  Each operator and each pair
 #: of parentheses on a path from the whole formula down to an atom counts
 #: one level.  Nothing in the library recurses over formulas, so this is
-#: an input policy; only pickling of a node still recurses.
+#: an input policy.
 MAX_NESTING = 100
 
 #: Binary operator token -> (precedence, right-associative, node class);
@@ -333,12 +368,20 @@ def _operands(f: Formula) -> tuple[Formula, ...]:
 def subformulas(f: Formula) -> list[Formula]:
     """Every distinct node of `f`, smallest first, so that each comes
     after its operands.  Nodes of equal size keep the order in which a
-    depth-first walk from `f` finds them."""
+    depth-first walk from `f` finds them.  Raises ValueError when `f`
+    or an operand of one of its nodes is not a formula."""
+    if not isinstance(f, Formula):
+        raise ValueError(f"not a formula: {short_repr(f)}")
     found = {f: None}
     stack = [f]
     while stack:
-        for child in _operands(stack.pop()):
+        node = stack.pop()
+        for child in _operands(node):
             if child not in found:
+                if not isinstance(child, Formula):
+                    raise ValueError(
+                        f"operand {short_repr(child)} of {short_repr(node)} is not a formula"
+                    )
                 found[child] = None
                 stack.append(child)
     return sorted(found, key=formula_size)
@@ -377,7 +420,7 @@ def desugar(f: Formula) -> Formula:
             case Globally(child):
                 core[g] = negated(Until(TRUE, negated(core[child])))
             case _:
-                raise TypeError(f"not a formula: {g!r}")
+                raise TypeError(f"not a formula: {short_repr(g)}")
     return core[f]
 
 
@@ -400,9 +443,9 @@ def check_core(f: Formula) -> None:
     """Raise ValueError unless f is a canonical core formula."""
     for g in subformulas(f):
         if not isinstance(g, CORE_KINDS):
-            raise ValueError(f"not a core connective: {g!r}")
+            raise ValueError(f"not a core connective: {short_repr(g)}")
         if isinstance(g, Not) and isinstance(g.child, Not):
-            raise ValueError(f"double negation is not canonical: {g!r}")
+            raise ValueError(f"double negation is not canonical: {short_repr(g)}")
 
 
 # Printer precedence: atoms 4, unary 3, U 2, & 1.
@@ -415,7 +458,7 @@ def _prec(f: Formula) -> int:
         return 2
     if isinstance(f, And):
         return 1
-    raise ValueError(f"not a core formula: {f!r}")
+    raise ValueError(f"not a core formula: {short_repr(f)}")
 
 
 def _wrapped(text: dict[Formula, str], g: Formula, min_prec: int) -> str:
@@ -443,7 +486,7 @@ def _texts(f: Formula) -> dict[Formula, str]:
         elif isinstance(g, And):
             text[g] = f"{_wrapped(text, g.left, 1)} & {_wrapped(text, g.right, 2)}"
         else:
-            raise ValueError(f"not a core formula: {g!r}")
+            raise ValueError(f"not a core formula: {short_repr(g)}")
     return text
 
 

@@ -5,22 +5,32 @@ import pytest
 from triltl import (
     DEFAULT_CANDIDATE_CAP,
     ModelFormatError,
+    Nba,
     Truth,
     Verdict,
     atoms_of,
     build_automaton,
     build_family,
     check_model,
+    closure_of,
     degeneralize,
+    enumerate_lassos,
     eval_lasso,
+    lasso,
     letter_of,
+    nba_accepts_lasso,
     parse_core,
     parse_model,
     product_nonempty,
 )
 from triltl import gnba, modelcheck
 from triltl.modelcheck import induced_word
-from helpers import CORPUS, model_doc, reference_product_nonempty
+from helpers import (
+    CORPUS,
+    gnba_accepts_lasso,
+    model_doc,
+    reference_product_nonempty,
+)
 
 
 def self_loop(labels):
@@ -320,6 +330,113 @@ class TestLazyCheck:
     def test_duplicate_alphabet_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             check_model(TWO_STATE, parse_core("G a"), ["a", "a"])
+
+
+POS_A = frozenset({("a", True)})
+NEG_A = frozenset({("a", False)})
+
+
+def _only_a_holds():
+    """A one-state Nba whose one pattern is {a}: every letter that gives
+    a another value matches no state."""
+    return Nba(
+        closure=closure_of(parse_core("a")),
+        alphabet=("a",),
+        counters=1,
+        states=((0, 1),),
+        initial=frozenset({0}),
+        patterns=(POS_A,),
+        succ=((0,),),
+        accepting=frozenset({0}),
+    )
+
+
+class TestPatternIndex:
+    """`nba_accepts_lasso` and `product_nonempty` read an eager automaton
+    through one `PatternIndex`, built on first use and kept on it."""
+
+    def test_built_once_per_automaton(self, monkeypatch):
+        built = []
+        init = gnba.PatternIndex.__init__
+
+        def counted(self, automaton):
+            built.append(automaton)
+            init(self, automaton)
+
+        monkeypatch.setattr(gnba.PatternIndex, "__init__", counted)
+        g = build_automaton(parse_core("a U b"), ("a", "b"), Truth.FALSE)
+        assert "pattern_index" not in g.__dict__
+        nba_accepts_lasso(g, lasso([], [NEG_A], ("a", "b")))
+        index = g.__dict__["pattern_index"]
+        nba_accepts_lasso(g, lasso([POS_A], [frozenset()], ("a", "b")))
+        product_nonempty(TWO_STATE, g)
+        assert g.__dict__["pattern_index"] is index
+        assert built == [g]
+
+    @pytest.mark.parametrize("text", ["a U b", "X a", "(a U b) & (b U a)"])
+    def test_numbers_patterns_and_groups_initial_states(self, text):
+        for value in Truth:
+            g = build_automaton(parse_core(text), ("a", "b"), value)
+            for automaton in (g, degeneralize(g)):
+                index = automaton.pattern_index
+                assert list(index.ids) == list(dict.fromkeys(automaton.patterns))
+                assert list(index.ids.values()) == list(range(len(index.ids)))
+                assert index.nletters == len(index.ids) + 1
+                for pattern, l in index.ids.items():
+                    assert index.roots(l) == sorted(
+                        q for q in automaton.initial if automaton.patterns[q] == pattern
+                    )
+                    for q, succ in enumerate(automaton.succ):
+                        assert index.targets(q, l) == [
+                            t for t in succ if automaton.patterns[t] == pattern
+                        ]
+                missing = index.nletters - 1
+                assert index.roots(missing) == []
+                assert all(index.targets(q, missing) == [] for q in range(len(automaton.succ)))
+
+    def test_letters_outside_the_closure_are_restricted(self):
+        # c is in the alphabet but not in the closure of a U b.
+        abc = ("a", "b", "c")
+        g = build_automaton(parse_core("a U b"), abc, Truth.TRUE)
+        c, not_c = ("c", True), ("c", False)
+        word = lasso([POS_A | {c}], [frozenset({("b", True), not_c})], abc)
+        assert nba_accepts_lasso(g, word)
+        assert nba_accepts_lasso(degeneralize(g), word)
+        assert not nba_accepts_lasso(g, lasso([NEG_A | {c}], [frozenset({not_c})], abc))
+        labels = {"s0": {"a": "t", "c": "f"}, "s1": {"b": "u", "c": "t"}}
+        model = parse_model(model_doc(["s0", "s1"], "s0", [["s0", "s1"], ["s1", "s1"]], labels))
+        unknown = build_automaton(parse_core("a U b"), abc, Truth.UNKNOWN)
+        witness = product_nonempty(model, unknown)
+        assert witness is not None
+        assert witness == reference_product_nonempty(model, degeneralize(unknown))
+
+    def test_letter_matching_no_pattern_is_rejected(self):
+        n = _only_a_holds()
+        index = n.pattern_index
+        assert index.letter_id(NEG_A) == index.letter_id(frozenset()) == len(index.ids)
+        assert nba_accepts_lasso(n, lasso([], [POS_A], ("a",)))
+        for stem, loop in (([], [NEG_A]), ([], [POS_A, frozenset()]), ([NEG_A], [POS_A])):
+            assert not nba_accepts_lasso(n, lasso(stem, loop, ("a",)))
+        assert product_nonempty(self_loop({"a": "t"}), n) == ((), ("s0",))
+        assert product_nonempty(TWO_STATE, n) is None
+
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_gnba_and_its_degeneralization_agree(self, text):
+        psi = parse_core(text)
+        family = build_family(psi, ("a", "b"))
+        pairs = [(value, g, degeneralize(g)) for value, g in family.items()]
+        for word in enumerate_lassos(("a", "b"), 1, 1):
+            truth = eval_lasso(psi, word)
+            for value, g, n in pairs:
+                assert nba_accepts_lasso(g, word) is nba_accepts_lasso(n, word) is (truth is value)
+
+    def test_oracles_do_not_build_the_index(self):
+        g = build_automaton(parse_core("a U b"), ("a", "b"), Truth.FALSE)
+        n = degeneralize(g)
+        gnba_accepts_lasso(g, lasso([], [NEG_A], ("a", "b")))
+        reference_product_nonempty(TWO_STATE, n)
+        assert "pattern_index" not in g.__dict__
+        assert "pattern_index" not in n.__dict__
 
 
 def _read(family, letters):

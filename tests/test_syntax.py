@@ -2,6 +2,7 @@ import copy
 import pickle
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -225,6 +226,9 @@ class TestDeepFormulas:
             word = lasso([], [frozenset(letter)], ["a", "b"])
             expected = Truth.TRUE if eval_lasso_two_valued(core, word) else Truth.FALSE
             assert eval_lasso(core, word) is expected
+        for g in (f, core):
+            assert pickle.loads(pickle.dumps(g)) is g
+            assert copy.deepcopy(g) is g
 
     def test_repr_and_error_messages_do_not_recurse(self):
         levels = 3 * sys.getrecursionlimit()
@@ -237,6 +241,38 @@ class TestDeepFormulas:
         for call in (check_core, closure_of, lambda g: eval_lasso(g, word)):
             with pytest.raises(ValueError, match="not a core"):
                 call(Or(f, B))
+
+    def test_error_messages_are_bounded(self):
+        # 40 doublings: 41 distinct nodes, but a repr of about 2^45 characters.
+        f = A
+        for _ in range(40):
+            f = And(f, f)
+        word = lasso([], [frozenset({("a", True), ("b", False)})], ["a", "b"])
+        started = time.perf_counter()
+        for call in (check_core, closure_of, lambda g: eval_lasso(g, word)):
+            with pytest.raises(ValueError, match="not a core") as caught:
+                call(Or(f, B))
+            message = str(caught.value)
+            assert message.endswith("…") and len(message) < 200
+            assert "Or(left=And(left=And(" in message
+        assert time.perf_counter() - started < 1.0
+
+
+class TestNonFormulaOperands:
+    """A node whose operand is not a formula is refused with ValueError,
+    which names the node."""
+
+    @pytest.mark.parametrize("call", [check_core, desugar, atoms_of, closure_of])
+    @pytest.mark.parametrize("node", [Not("a"), And(A, 3)], ids=["not-str", "and-int"])
+    def test_refused_with_value_error(self, call, node):
+        with pytest.raises(ValueError, match="is not a formula") as caught:
+            call(node)
+        assert f"of {node!r}" in str(caught.value)
+
+    @pytest.mark.parametrize("call", [check_core, desugar, atoms_of, closure_of])
+    def test_a_non_formula_is_refused(self, call):
+        with pytest.raises(ValueError, match="not a formula: 'a'"):
+            call("a")
 
 
 class TestDesugar:
