@@ -3,7 +3,7 @@
 Exit codes: 0 on success (whatever the verdict), 2 on usage or input
 errors, 3 when the state-space cap is exceeded.  Results go to stdout,
 diagnostics to stderr.  A failed internal invariant (a witness that
-does not re-evaluate to its verdict, a fixpoint that does not converge)
+does not re-evaluate to its verdict, overlapping label tables)
 raises RuntimeError, which is never reported as a usage error: the
 process prints the traceback and exits with code 1.
 """
@@ -64,7 +64,7 @@ def _write_output(path: str, text: str) -> None:
 
 
 def _run_translate(args: argparse.Namespace) -> int:
-    from .emit import to_dot, to_hoa
+    from .emit import hoa_propositions, to_dot, to_hoa
     from .gnba import build_automaton
     from .syntax import parse_core
     from .truth import parse_truth
@@ -72,6 +72,8 @@ def _run_translate(args: argparse.Namespace) -> int:
     if args.out_dot is None and args.out_hoa is None:
         raise UsageError("translate needs --out-dot and/or --out-hoa")
     alphabet = _parse_alphabet(args.alphabet)
+    if args.out_hoa is not None:
+        hoa_propositions(alphabet)
     value = parse_truth(args.value)
     psi = parse_core(args.formula)
     automaton = build_automaton(psi, alphabet, value, cap=_state_cap(args.state_cap))

@@ -7,7 +7,8 @@ Letters carry three values per atom, which HOA's boolean propositions
 cannot express directly; each atom q therefore becomes two
 propositions, "q" and "q__neg".  Exactly one of the three consistent
 combinations appears on every emitted edge (q true, q__neg true, or
-both false); both true never occurs.
+both false); both true never occurs.  An alphabet holding both q and
+q__neg has no such encoding, and `to_hoa` refuses it.
 """
 
 from __future__ import annotations
@@ -102,6 +103,22 @@ def _edge_label(g: Gnba, pattern: Letter) -> str:
 _PROPERTIES = ("trans-labels", "explicit-labels", "state-acc")
 
 
+def hoa_propositions(alphabet: tuple[str, ...]) -> list[str]:
+    """The HOA proposition names of the atoms, "q" then "q__neg" for each.
+
+    Raises ValueError when an atom's negative proposition would carry
+    the name of another atom, so that no reader could tell them apart.
+    """
+    atoms = set(alphabet)
+    for atom in alphabet:
+        if f"{atom}__neg" in atoms:
+            raise ValueError(
+                f"atoms {atom!r} and '{atom}__neg' cannot share a HOA alphabet: "
+                f"the negative proposition of {atom!r} is named '{atom}__neg'"
+            )
+    return [name for atom in alphabet for name in (atom, f"{atom}__neg")]
+
+
 def to_hoa(g: Gnba) -> str:
     """Render the automaton in HOA v1 with state-based generalized
     Buchi acceptance."""
@@ -109,11 +126,8 @@ def to_hoa(g: Gnba) -> str:
     lines = ["HOA: v1", f"States: {len(g.states)}"]
     for sid in sorted(g.initial):
         lines.append(f"Start: {sid}")
-    ap_names = []
-    for atom in g.alphabet:
-        ap_names.append(f'"{atom}"')
-        ap_names.append(f'"{atom}__neg"')
-    lines.append(f"AP: {2 * len(g.alphabet)} {' '.join(ap_names)}")
+    ap_names = " ".join(f'"{name}"' for name in hoa_propositions(g.alphabet))
+    lines.append(f"AP: {2 * len(g.alphabet)} {ap_names}")
     lines.append(f"acc-name: generalized-Buchi {k}")
     lines.append(f"Acceptance: {k} {'&'.join(f'Inf({i})' for i in range(k))}")
     lines.append("properties: " + " ".join(_PROPERTIES))
@@ -203,7 +217,8 @@ def read_hoa(text: str) -> HoaAutomaton:
 
     This is deliberately a subset reader: it understands exactly the
     headers and body statements the emitter writes, and raises
-    HoaFormatError on anything else, out-of-range ids included.
+    HoaFormatError on anything else: out-of-range ids, repeated
+    proposition names and states without a State: line included.
     """
     lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line]
@@ -225,10 +240,12 @@ def read_hoa(text: str) -> HoaAutomaton:
             starts.append(line[len("Start:") :])
         elif line.startswith("AP:"):
             count, _, rest = line[len("AP:") :].strip().partition(" ")
-            names = []
+            names: dict[str, None] = {}
             while rest.strip():
                 name, rest = _quoted(rest.strip())
-                names.append(name)
+                if name in names:
+                    raise HoaFormatError(f"AP name {name!r} is declared twice")
+                names[name] = None
             if len(names) != _number(count, "AP count"):
                 raise HoaFormatError("AP count does not match the name list")
             ap = tuple(names)
@@ -263,6 +280,14 @@ def read_hoa(text: str) -> HoaAutomaton:
     if i == len(lines):
         raise HoaFormatError("missing --BODY--")
     initial = frozenset({_number(start, "start state", num_states) for start in starts})
+    # The header loop refuses "--END--", so the first one ends the body.
+    end = lines.index("--END--") if "--END--" in lines else len(lines)
+    # Count the State: lines before allocating anything per state: a
+    # huge declared count then costs nothing, and with no state declared
+    # twice or out of range, enough lines means every state is declared.
+    stated = sum(line.startswith("State:") for line in lines[i + 1 : end])
+    if stated < num_states:
+        raise HoaFormatError(f"body declares {stated} of {num_states} states")
 
     state_acc: list[frozenset[int]] = [frozenset()] * num_states
     state_names: list[str] = [""] * num_states
@@ -272,9 +297,7 @@ def read_hoa(text: str) -> HoaAutomaton:
     # One byte per state: a set of ids would raise the reader's peak.
     declared = bytearray(num_states)
     current = None
-    for line in lines[i + 1 :]:
-        if line == "--END--":
-            break
+    for line in lines[i + 1 : end]:
         if line.startswith("State:"):
             number, _, rest = line[len("State:") :].strip().partition(" ")
             current = _number(number, "state", num_states)
@@ -301,7 +324,7 @@ def read_hoa(text: str) -> HoaAutomaton:
             edges.append((current, pattern, _number(target, "edge target", num_states)))
         else:
             raise HoaFormatError(f"unsupported body line {line!r}")
-    else:
+    if end == len(lines):
         raise HoaFormatError("missing --END--")
 
     return HoaAutomaton(

@@ -6,7 +6,7 @@ atoms that fail, and omits atoms whose value is unknown.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .syntax import is_atom_name
 
@@ -22,19 +22,13 @@ class LetterFormatError(ValueError):
     """Malformed letter text or an inconsistent literal set."""
 
 
-def make_letter(
-    literals: Iterable[Literal], alphabet: Optional[Sequence[str]] = None
-) -> Letter:
-    """Build a letter, checking consistency and (optionally) the alphabet."""
+def make_letter(literals: Iterable[Literal]) -> Letter:
+    """Build a letter, checking that no atom is both true and false."""
     letter = frozenset(literals)
     names = [name for name, _ in letter]
     if len(set(names)) != len(names):
         clash = sorted(n for n in set(names) if names.count(n) > 1)
         raise LetterFormatError(f"inconsistent letter: both {clash[0]} and !{clash[0]}")
-    if alphabet is not None:
-        for name in names:
-            if name not in alphabet:
-                raise UnknownAtomError(f"unknown atom {name!r}")
     return letter
 
 
@@ -73,7 +67,7 @@ def format_letter(letter: Letter) -> str:
     )
 
 
-def parse_letter(text: str, alphabet: Optional[Sequence[str]] = None) -> Letter:
+def parse_letter(text: str) -> Letter:
     """Parse "a,!b" into a letter; blank text is the empty letter."""
     literals = []
     for chunk in text.split(","):
@@ -87,13 +81,11 @@ def parse_letter(text: str, alphabet: Optional[Sequence[str]] = None) -> Letter:
         if not is_atom_name(chunk):
             raise LetterFormatError(f"bad literal {chunk!r}")
         literals.append((chunk, positive))
-    return make_letter(literals, alphabet)
+    return make_letter(literals)
 
 
-def parse_letter_sequence(
-    text: str, alphabet: Optional[Sequence[str]] = None
-) -> list[Letter]:
+def parse_letter_sequence(text: str) -> list[Letter]:
     """Parse ";"-separated letters; blank text is the empty sequence."""
     if not text.strip():
         return []
-    return [parse_letter(chunk, alphabet) for chunk in text.split(";")]
+    return [parse_letter(chunk) for chunk in text.split(";")]

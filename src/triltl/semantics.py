@@ -5,9 +5,9 @@ forever.  Evaluation labels every subformula at every one of the
 n = |stem| + |loop| positions with two predicates, "definitely true"
 and "definitely false", computed bottom-up; the until labels are the
 least (true side) and greatest (false side) fixpoints of their
-one-step unfoldings on the position graph with wrap-around.  This is
-independent of the automaton construction, which makes it a usable
-oracle for it.
+one-step unfoldings on the position graph with wrap-around, reached in
+one backward pass of fixed order.  This is independent of the
+automaton construction, which makes it a usable oracle for it.
 """
 
 from __future__ import annotations
@@ -137,11 +137,6 @@ def _subformulas_in(psi: Formula, word: LassoWord) -> list[Formula]:
     return order
 
 
-def _fixpoint_sweeps(n: int) -> int:
-    # Each sweep stabilises at least one position; one extra detects it.
-    return n + 1
-
-
 def _label_tables(
     order: list[Formula], word: LassoWord
 ) -> dict[Formula, tuple[list[bool], list[bool]]]:
@@ -149,9 +144,15 @@ def _label_tables(
     definitely-false).  Every operand must come before its compounds, as
     in `subformulas`."""
     n = word.length
+    m = len(word.stem)
     succ = [word.successor(i) for i in range(n)]
     letters = word.letters
-    budget = _fixpoint_sweeps(n)
+    # The until pass: the loop backward twice, then the stem backward.
+    # After one lap the loop start is final, since the first position
+    # deciding it lies within one lap; the second lap then settles every
+    # loop position, and the stem reads only settled ones.
+    loop_back = range(n - 1, m - 1, -1)
+    backward = [*loop_back, *loop_back, *range(m - 1, -1, -1)]
 
     tables: dict[Formula, tuple[list[bool], list[bool]]] = {}
     for g in order:
@@ -176,36 +177,13 @@ def _label_tables(
         elif isinstance(g, Until):
             lt, lf = tables[g.left]
             rt, rf = tables[g.right]
-            # Least fixpoint of t[i] = rt[i] or (lt[i] and t[succ(i)]).
+            # Least fixpoint of t[i] = rt[i] or (lt[i] and t[succ(i)]),
+            # greatest of f[i] = rf[i] and (lf[i] or f[succ(i)]).
             t = [False] * n
-            sweeps = 0
-            changed = True
-            while changed:
-                changed = False
-                sweeps += 1
-                if sweeps > budget:
-                    raise RuntimeError(
-                        "internal error: until fixpoint failed to converge"
-                    )
-                for i in range(n - 1, -1, -1):
-                    if not t[i] and (rt[i] or (lt[i] and t[succ[i]])):
-                        t[i] = True
-                        changed = True
-            # Greatest fixpoint of f[i] = rf[i] and (lf[i] or f[succ(i)]).
             f = [True] * n
-            sweeps = 0
-            changed = True
-            while changed:
-                changed = False
-                sweeps += 1
-                if sweeps > budget:
-                    raise RuntimeError(
-                        "internal error: until fixpoint failed to converge"
-                    )
-                for i in range(n - 1, -1, -1):
-                    if f[i] and not (rf[i] and (lf[i] or f[succ[i]])):
-                        f[i] = False
-                        changed = True
+            for i in backward:
+                t[i] = rt[i] or (lt[i] and t[succ[i]])
+                f[i] = rf[i] and (lf[i] or f[succ[i]])
         else:
             raise ValueError(f"not a core formula: {short_repr(g)}")
         if any(a and b for a, b in zip(t, f)):
@@ -227,8 +205,8 @@ def eval_lasso(psi: Formula, word: LassoWord) -> Truth:
 def eval_lasso_two_valued(psi: Formula, word: LassoWord) -> bool:
     """Classical satisfaction on a word whose letters are all total.
 
-    Runs the same fixpoint machinery with falsehood as the complement
-    of truth, so only the true-side tables are needed.
+    Sweeps each until to its least fixpoint, a reference for the one
+    ordered pass of `eval_lasso`; falsehood is the complement of truth.
     """
     order = _subformulas_in(psi, word)
     n = word.length

@@ -28,13 +28,14 @@ from triltl import (
     Next,
     Not,
     TrueConst,
+    Truth,
     Until,
     lasso,
     letter_of,
     negated,
     restrict_letter,
 )
-from triltl.syntax import Closure, Formula
+from triltl.syntax import Closure, Formula, subformulas
 
 ATOMS = ("a", "b")
 
@@ -225,6 +226,65 @@ def gnba_accepts_lasso(g: Gnba, word: LassoWord) -> bool:
         if all(state_ids & acc for acc in g.acceptance):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Definitional lasso oracle: the clauses of U read off the unrolled word,
+# with no fixpoint (independent of `eval_lasso`'s backward pass).
+# ---------------------------------------------------------------------------
+
+
+def reference_eval_lasso(psi: Formula, word: LassoWord) -> Truth:
+    """The value of `psi` at position 0, from the definitions.
+
+    For an until at position i, the walk covers the unrolled word from i
+    to one full loop past max(i, |stem|).  Any witness or break further
+    on repeats one inside that window, with a longer prefix to check.
+    """
+    m, n = len(word.stem), word.length
+    p = n - m
+    T, F, U = Truth.TRUE, Truth.FALSE, Truth.UNKNOWN
+
+    def position(k: int) -> int:
+        return k if k < m else m + (k - m) % p
+
+    values: dict[Formula, list[Truth]] = {}
+    for g in subformulas(psi):
+        if isinstance(g, Atom):
+            row = [
+                T if (g.name, True) in letter else F if (g.name, False) in letter else U
+                for letter in word.letters
+            ]
+        elif isinstance(g, TrueConst):
+            row = [T] * n
+        elif isinstance(g, Not):
+            row = [v.negate() for v in values[g.child]]
+        elif isinstance(g, Next):
+            row = [values[g.child][position(i + 1)] for i in range(n)]
+        elif isinstance(g, And):
+            row = [
+                F if F in pair else T if pair == (T, T) else U
+                for pair in zip(values[g.left], values[g.right])
+            ]
+        else:
+            assert isinstance(g, Until), g
+            left, right = values[g.left], values[g.right]
+            row = []
+            for i in range(n):
+                walk = [position(k) for k in range(i, max(i, m) + p)]
+                # T: some k has right T and left T at every j before it.
+                # F: every k has right F or left F at some j before it.
+                true = any(
+                    right[k] is T and all(left[j] is T for j in walk[:x])
+                    for x, k in enumerate(walk)
+                )
+                false = all(
+                    right[k] is F or any(left[j] is F for j in walk[:x])
+                    for x, k in enumerate(walk)
+                )
+                row.append(T if true else F if false else U)
+        values[g] = row
+    return values[psi][0]
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,28 @@ class TestTranslate:
             main(["translate", "--alphabet", "a", "--value", "uu"])
         assert err.value.code == 2
 
+    def test_colliding_hoa_propositions_refused_before_writing(self, capsys, tmp_path):
+        dot, hoa = tmp_path / "x.gv", tmp_path / "x.hoa"
+        code, stdout, stderr = run(
+            capsys,
+            "translate", "--formula", "a & a__neg", "--alphabet", "a,a__neg",
+            "--value", "top", "--out-dot", str(dot), "--out-hoa", str(hoa),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: atoms 'a' and 'a__neg'")
+        assert stderr.count("\n") == 1
+        assert not dot.exists() and not hoa.exists()
+        # DOT has no propositions, so the same alphabet still renders there.
+        code, stdout, _ = run(
+            capsys,
+            "translate", "--formula", "a & a__neg", "--alphabet", "a,a__neg",
+            "--value", "top", "--out-dot", str(dot),
+        )
+        assert code == 0
+        assert stdout == "states=9 initial=1 accsets=1\n"
+        assert validate_dot(dot.read_text(encoding="utf-8")) == (9, 81)
+
 
 class TestCheck:
     def test_true_verdict(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -149,7 +150,9 @@ class TestHoa:
             ('State: 0 "∅" {0}', 'State: 0 "∅" {7}', "acceptance set '7'"),
             ('State: 0 "∅" {0}', 'State: 0 "∅ {0}', "quoted name"),
             ('"a__neg"', '"a__neg', "quoted name"),
+            ('"a__neg"', '"a"', "AP name 'a' is declared twice"),
             ("States: 9", "States: nine", "state count 'nine'"),
+            ("States: 9", "States: 10", "body declares 9 of 10 states"),
             ("Acceptance: 1 Inf(0)", "Acceptance: Inf(0)", "acceptance count"),
             ("[!0 & 1] 8\n--END--", "[!0 & 1 8\n--END--", "unterminated edge label"),
             (
@@ -192,6 +195,27 @@ class TestHoa:
         assert doc.count(old) == 1
         with pytest.raises(HoaFormatError, match=re.escape(message)):
             read_hoa(doc.replace(old, new))
+
+    @pytest.mark.parametrize("alphabet", [("a", "a__neg"), ("b__neg", "c", "b")])
+    def test_colliding_propositions_refused(self, alphabet):
+        g = build_automaton(parse_core(alphabet[1]), alphabet, Truth.TRUE)
+        with pytest.raises(ValueError, match="atoms '(a|b)' and '(a|b)__neg'"):
+            to_hoa(g)
+
+    def test_neg_suffix_alone_is_encoded(self):
+        g = build_automaton(parse_core("a__neg U b"), ("a__neg", "b"), Truth.TRUE)
+        assert read_hoa(to_hoa(g)).ap == ("a__neg", "a__neg__neg", "b", "b__neg")
+
+    def test_reader_rejects_undeclared_states_before_allocating(self):
+        doc = "HOA: v1\nStates: 2000000\nAcceptance: 0 \n--BODY--\n--END--\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(HoaFormatError, match="body declares 0 of 2000000 states"):
+                read_hoa(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_reader_rejects_contradictory_labels(self):
         doc = (

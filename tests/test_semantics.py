@@ -30,7 +30,7 @@ from triltl import (
     parse_lasso,
 )
 from triltl import semantics
-from helpers import shift
+from helpers import reference_eval_lasso, shift
 
 A, B = Atom("a"), Atom("b")
 AB = ("a", "b")
@@ -55,6 +55,15 @@ lassos_ab = st.builds(
     lasso,
     st.lists(letters_ab, max_size=3),
     st.lists(letters_ab, min_size=1, max_size=3),
+    st.just(AB),
+)
+
+#: Longer than `lassos_ab`, so the until pass wraps around loops with
+#: witnesses and breaks far from the loop start.
+long_lassos_ab = st.builds(
+    lasso,
+    st.lists(letters_ab, max_size=8),
+    st.lists(letters_ab, min_size=1, max_size=8),
     st.just(AB),
 )
 
@@ -183,13 +192,13 @@ class TestEvalLasso:
         doubled = lasso(w.stem, w.loop + w.loop, w.alphabet)
         assert eval_lasso(psi, w) is eval_lasso(psi, doubled)
 
-
-class TestFixpointGuard:
-    def test_unconverged_until_raises(self, monkeypatch):
-        monkeypatch.setattr(semantics, "_fixpoint_sweeps", lambda n: 1)
-        word = lasso([], [frozenset({("a", True)}), frozenset({("b", True)})], AB)
-        with pytest.raises(RuntimeError, match="failed to converge"):
-            eval_lasso(parse_core("a U b"), word)
+    @given(core_formulas, long_lassos_ab)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_definitions_on_long_lassos(self, psi, w):
+        # X^i psi reads psi at position i, so every position is compared.
+        for _ in range(w.length):
+            assert eval_lasso(psi, w) is reference_eval_lasso(psi, w)
+            psi = Next(psi)
 
 
 class TestIndependence:
