@@ -71,6 +71,11 @@ def _run_translate(args: argparse.Namespace) -> int:
 
     if args.out_dot is None and args.out_hoa is None:
         raise UsageError("translate needs --out-dot and/or --out-hoa")
+    if None not in (args.out_dot, args.out_hoa):
+        from os.path import realpath
+
+        if realpath(args.out_dot) == realpath(args.out_hoa):
+            raise UsageError("--out-dot and --out-hoa name the same file")
     alphabet = _parse_alphabet(args.alphabet)
     if args.out_hoa is not None:
         hoa_propositions(alphabet)
@@ -96,7 +101,7 @@ def _run_check(args: argparse.Namespace) -> int:
     try:
         with open(args.model, "r", encoding="utf-8") as handle:
             document = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read model: {exc}") from None
     model = parse_model(document)
     psi = parse_core(args.formula)

@@ -241,15 +241,15 @@ class LazyFamily:
     initial states of the automaton for `value` whose pattern is l, and
     `targets(q, l)` the successors of q whose pattern is l, in the same
     relative order as the eager automaton.  A letter given as None pins
-    no atom, so it reads the whole family.  State ids are handed out on
-    discovery; `marks[q]` is q's acceptance bitmask, bit k for set k of
-    `acceptance_sets`.
+    no atom, so it reads the whole family.  A state's id is the node id
+    of its leaf in the trie below, and `marks[q]` is q's acceptance
+    bitmask, bit k for set k of `acceptance_sets`.
 
     States are the leaves of one `Tables` trie, walked with the marks
     allowed per coordinate packed into an int.  Every trie node carries
     a key built from its parent's (see `_level_keys`), so a
-    state's linkage mask, marks and pattern are read off its leaf, not
-    recomputed per state.  Successor lists are shared by the packed
+    state's linkage mask, marks and pattern are read off its leaf's key,
+    not recomputed per state.  Successor lists are shared by the packed
     mask of the walk: the enumeration reads nothing of the source state
     but that mask, so sources with equal masks have equal successor
     lists, in one order.
@@ -275,49 +275,33 @@ class LazyFamily:
                     pins ^= clear[_LETTER_MARKS[value.get(name)]]
             self._pins.append(pins)
         self.nletters = len(letters)
-        self.marks: list[int] = []
         self.all_marks = (1 << (len(closure.untils) + 1)) - 1
-        # The leaf node of each state id, and the state id of each leaf
-        # reached so far.
-        self._leaves: list[int] = []
-        self._state_of: dict[int, int] = {}
-        # Per state, its linkage mask, one int object per distinct mask.
-        self._links: list[int] = []
-        self._distinct: dict[int, int] = {}
+        # Per trie node, the acceptance mask in its key; read at leaves.
+        self.marks: list[int] = []
+        self._keys = self._tables.keys
         self._targets: dict[int, tuple[int, ...]] = {}
 
-    def _ids_of(self, allowed: int) -> tuple[int, ...]:
-        """Ids of the states whose marks `allowed` admits (packed as by
-        `pack`), in enumeration order."""
-        leaves = self._tables.walk(allowed)
-        get = self._state_of.get
-        out = tuple(map(get, leaves))
-        if None in out:
-            new = [leaf for leaf, sid in zip(leaves, out) if sid is None]
-            first = len(self._leaves)
-            self._state_of.update(zip(new, range(first, first + len(new))))
-            self._leaves += new
-            keys = list(map(self._tables.keys.__getitem__, new))
-            shift, marks = self._link_bits.bit_length(), self.all_marks
-            self.marks += [key >> shift & marks for key in keys]
-            links = list(map(self._link_bits.__and__, keys))
-            self._links += map(self._distinct.setdefault, links, links)
-            out = tuple(map(get, leaves))
-        return out
+    def _walk(self, allowed: int) -> tuple[int, ...]:
+        """The leaves whose marks `allowed` admits (packed as by `pack`),
+        in lexicographic order, with `marks` grown over the trie."""
+        leaves = tuple(self._tables.walk(allowed))
+        shift, marks = self._link_bits.bit_length(), self.marks
+        marks += [key >> shift & self.all_marks for key in self._keys[len(marks) :]]
+        return leaves
 
     def roots(self, value: Truth, letter: int) -> tuple[int, ...]:
         """Initial states of the automaton for `value` with pattern `letter`."""
         idx, wanted = _initial_mark(self.closure, value)
         at = slot(len(self.closure.bases), idx)
         held = ~(ANY << at) | 1 << wanted << at
-        return self._ids_of(self._pins[letter] & held)
+        return self._walk(self._pins[letter] & held)
 
     def targets(self, q: int, letter: int) -> tuple[int, ...]:
         """Successors of state q with pattern `letter`."""
-        allowed = self._links[q] & self._pins[letter]
+        allowed = self._keys[q] & self._pins[letter]
         found = self._targets.get(allowed)
         if found is None:
-            found = self._targets[allowed] = self._ids_of(allowed)
+            found = self._targets[allowed] = self._walk(allowed)
         return found
 
 
@@ -336,7 +320,7 @@ def _pin_free_family(closure: Closure) -> LazyFamily:
 def _state_id(family: LazyFamily, vec: Sequence[int]) -> int:
     """`vec`'s state id: the one leaf a walk of its exact mask yields."""
     well_formed = len(vec) == len(family.closure.bases) and set(vec) <= set(MARKS)
-    found = family._ids_of(pack([1 << m for m in vec])) if well_formed else ()
+    found = family._walk(pack([1 << m for m in vec])) if well_formed else ()
     if not found:
         raise ValueError(f"{tuple(vec)!r} is not an elementary set of the closure")
     return found[0]
@@ -354,7 +338,7 @@ def successors(vec: StateVec, letter: Letter, closure: Closure) -> list[StateVec
     q = _state_id(family, vec)
     if restrict_letter(letter, closure.atoms) != state_pattern(vec, closure):
         return []
-    return [family._tables.vecs[family._leaves[t]] for t in family.targets(q, 0)]
+    return list(map(family._tables.vecs.__getitem__, family.targets(q, 0)))
 
 
 def _sets_of(marks: Sequence[int], all_marks: int) -> tuple[frozenset[int], ...]:
@@ -379,37 +363,38 @@ def _read_in_full(
     psi: Formula, alphabet: Sequence[str], cap: int, values: Sequence[Truth]
 ) -> dict[Truth, Gnba]:
     """The automata of `psi` for `values`: a `LazyFamily` read in full
-    through one letter that pins no atom.  Reading every state first
-    numbers the states in lexicographic order."""
+    through one letter that pins no atom.  Its walk lists the leaves in
+    lexicographic order, and each state's id is its place there."""
     alphabet = tuple(alphabet)
     closure = checked_closure(psi, alphabet, cap)
     family = LazyFamily(closure, [None])
-    family._ids_of(family._pins[0])
+    leaves = family._walk(family._pins[0])
+    number = dict(zip(leaves, range(len(leaves))))
     tables = family._tables
-    states = tuple(map(tables.vecs.__getitem__, family._leaves))
+    states = tuple(map(tables.vecs.__getitem__, leaves))
+    keys = list(map(tables.keys.__getitem__, leaves))
     # One Letter per distinct pattern key, the key bits above the marks.
     shift = family._link_bits.bit_length() + family.all_marks.bit_length()
-    pattern_keys = list(
-        map(int.__rshift__, map(tables.keys.__getitem__, family._leaves), repeat(shift))
-    )
+    pattern_keys = list(map(int.__rshift__, keys, repeat(shift)))
     letters = {
         key: state_pattern(vec, closure) for key, vec in dict(zip(pattern_keys, states)).items()
     }
     patterns = tuple(map(letters.__getitem__, pattern_keys))
     # The pinless letter allows every mark, so a state's linkage mask is
     # the whole walk: one successor tuple per distinct mask.
-    get = family._state_of.__getitem__
-    links = sorted(family._distinct)
-    by_link = {link: tuple(map(get, tables.walk(link))) for link in links}
-    succ = tuple(map(by_link.__getitem__, family._links))
-    marks = tuple(family.marks)
+    links = list(map(family._link_bits.__and__, keys))
+    by_link = {
+        link: tuple(map(number.__getitem__, tables.walk(link))) for link in sorted(set(links))
+    }
+    succ = tuple(map(by_link.__getitem__, links))
+    marks = tuple(map(family.marks.__getitem__, leaves))
     labels = tuple(tables.labels(closure))
     return {
         value: Gnba(
             closure=closure,
             alphabet=alphabet,
             states=states,
-            initial=frozenset(family.roots(value, 0)),
+            initial=frozenset(map(number.__getitem__, family.roots(value, 0))),
             patterns=patterns,
             succ=succ,
             marks=marks,

@@ -145,6 +145,24 @@ class TestTranslate:
         assert stderr.startswith("error: cannot write output:")
         assert stderr.count("\n") == 1
 
+    def test_both_outputs_on_one_file_refused_before_building(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        refuse_enumeration(monkeypatch)
+        out = tmp_path / "x"
+        # The same file, named once directly and once through a detour.
+        (tmp_path / "sub").mkdir()
+        detour = tmp_path / "sub" / ".." / "x"
+        code, stdout, stderr = run(
+            capsys,
+            "translate", "--formula", "a U b", "--alphabet", "a,b",
+            "--value", "top", "--out-dot", str(out), "--out-hoa", str(detour),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "error: --out-dot and --out-hoa name the same file\n"
+        assert not out.exists()
+
     def test_missing_required_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["translate", "--alphabet", "a", "--value", "uu"])
@@ -312,6 +330,15 @@ class TestCheck:
         )
         assert code == 2
         assert "cannot read model" in stderr
+
+    def test_model_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, stdout, stderr = run(capsys, "check", "--model", str(path), "--formula", "a")
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: cannot read model: 'utf-8' codec can't decode")
+        assert stderr.count("\n") == 1
 
     def test_deeply_nested_model_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triltl import (
     ABSENT,
@@ -252,8 +253,7 @@ class TestLazyFamily:
         lazy = LazyFamily(eager.closure, letters)
 
         def as_eager(ids):
-            vec_of = [lazy._tables.vecs[leaf] for leaf in lazy._leaves]
-            return [eager_id[vec_of[sid]] for sid in ids]
+            return [eager_id[lazy._tables.vecs[q]] for q in ids]
 
         def filtered(ids, letter):
             return [q for q in ids if eager.patterns[q] == letter]
@@ -279,7 +279,53 @@ class TestLazyFamily:
                 seen.update(targets)
         assert lazy.all_marks == (1 << len(eager.acceptance)) - 1
         assert eager.all_marks == lazy.all_marks
-        assert len(lazy.marks) == len(seen)
+        # Every state built, a trie leaf, was listed by some root or target.
+        n = len(eager.closure.bases)
+        assert seen == {q for q, vec in enumerate(lazy._tables.vecs) if len(vec) == n}
+
+
+class TestLazyAgainstEager:
+    """A lazy family pinned to a random ordered subset of the closure's
+    letters hands out only states of the eager automaton, each with the
+    eager state's marks and, per letter, its successors in order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_formulas, st.data())
+    def test_every_listed_state_matches_the_eager_state(self, psi, data):
+        family = build_family(psi, ("a", "b"))
+        eager = family[Truth.TRUE]
+        eager_id = {vec: q for q, vec in enumerate(eager.states)}
+        letters = data.draw(
+            st.lists(st.sampled_from(all_letters(eager.closure.atoms)), min_size=1, unique=True)
+        )
+        lazy = LazyFamily(eager.closure, letters)
+        vecs = lazy._tables.vecs
+
+        def as_eager(ids, letter):
+            """The eager ids of `ids`, each checked to have pattern `letter`."""
+            out = [eager_id[vecs[q]] for q in ids]
+            assert all(eager.patterns[q] == letter for q in out)
+            return out
+
+        def filtered(ids, letter):
+            return [q for q in ids if eager.patterns[q] == letter]
+
+        todo = []
+        for value in Truth:
+            for l, letter in enumerate(letters):
+                roots = lazy.roots(value, l)
+                assert as_eager(roots, letter) == filtered(sorted(family[value].initial), letter)
+                todo += roots
+        seen = set(todo)
+        while todo:
+            q = todo.pop()
+            source = eager_id[vecs[q]]
+            assert lazy.marks[q] == eager.marks[source]
+            for l, letter in enumerate(letters):
+                targets = lazy.targets(q, l)
+                assert as_eager(targets, letter) == filtered(eager.succ[source], letter)
+                todo += [t for t in targets if t not in seen]
+                seen.update(targets)
 
 
 class TestExtraAlphabetAtoms:

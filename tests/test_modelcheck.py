@@ -324,7 +324,7 @@ class TestLazyCheck:
         # The model emits a and !a but never leaves a unknown, so the
         # states whose pattern leaves a absent are never built.
         (family,) = families
-        assert 0 < len(family.marks) < full
+        assert 0 < len(_leaves(family)) < full
         assert check_model(self_loop({"a": "t"}), psi) == Verdict(Truth.TRUE)
 
     def test_duplicate_alphabet_rejected(self):
@@ -453,18 +453,25 @@ def _read(family, letters):
             todo += fresh
 
 
+def _leaves(family):
+    """The id of each state the family has built: its trie's leaves, in
+    the order the trie grew them."""
+    n = len(family.closure.bases)
+    return [q for q, vec in enumerate(family._tables.vecs) if len(vec) == n]
+
+
 def _vectors(family):
-    """The vector of each state the family has built, by state id."""
-    return [family._tables.vecs[leaf] for leaf in family._leaves]
+    """The vector of each state the family has built, in id order."""
+    return [family._tables.vecs[q] for q in _leaves(family)]
 
 
 def _by_vector(family, full):
     """Per state vector: its successor vectors through letter `full`, in
     order, and its acceptance marks."""
-    vec_of = _vectors(family)
+    vecs = family._tables.vecs
     return {
-        vec_of[q]: ([vec_of[t] for t in family.targets(q, full)], family.marks[q])
-        for q in range(len(family.marks))
+        vecs[q]: ([vecs[t] for t in family.targets(q, full)], family.marks[q])
+        for q in _leaves(family)
     }
 
 
