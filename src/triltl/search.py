@@ -9,8 +9,8 @@ for generalized Büchi acceptance (J.-M. Couvreur, "On-the-fly
 verification of linear temporal logic", FM'99; see also Renault et
 al., "Three SCC-based emptiness checks for generalized Büchi
 automata", LPAR 2013).  `first_accepting_lasso` extracts the one
-witness lasso that breadth-first search order singles out, and tests
-its candidates for cycles with the same pass over one shared numbering.
+witness lasso that breadth-first search order singles out; a failed
+fresh candidate's region is numbered with the same pass.
 """
 
 from __future__ import annotations
@@ -115,67 +115,67 @@ def first_accepting_lasso(
     itself, starting at the anchor.
 
     Candidates are tested lazily in discovery order and the search stops
-    at the anchor.  The cycle test is Couvreur's pass with one DFS
-    numbering shared by all candidates.  A candidate not yet numbered
-    starts a pass whose only mark is its own, which answers yes as soon
-    as a cycle through it closes (no node numbered before can reach it)
-    and otherwise records which components are cyclic, so a later
-    candidate already numbered is answered by lookup.  Each node is
-    expanded at most three times: breadth first, depth first, and by
-    the loop search.
+    at the anchor.  A candidate not yet numbered runs the loop search,
+    which gets back to it, with the witness's loop, exactly when it is
+    on a cycle; if not, Couvreur's pass from it numbers its region in
+    one DFS numbering shared by all candidates, so a later candidate
+    there is answered by lookup.  That loop search skips numbered
+    nodes: their components are complete, so they reach neither the
+    candidate nor any node that does, and the answer and the loop stay
+    the same.  Each node is expanded at most four times: breadth first,
+    by one failed loop search (its region is numbered right after),
+    depth first, and by the anchor's loop search.
     """
     number: dict[Node, int] = {}
 
-    def on_cycle(candidate: Node) -> bool:
-        if candidate in number:
-            return number[candidate] < 0
-        return _couvreur(
-            [candidate], out_edges, partial(eq, candidate), 1, number
-        )
+    def loop_through(candidate: Node, skip: dict[Node, int]) -> Optional[list[Node]]:
+        # Shortest closed walk: breadth first from the candidate back to it.
+        back_parent: dict[Node, Node] = {}
+        queue = deque([candidate])
+        while queue:
+            node = queue.popleft()
+            for target in out_edges(node):
+                if target == candidate:
+                    loop = [node]
+                    while loop[-1] != candidate:
+                        loop.append(back_parent[loop[-1]])
+                    loop.reverse()
+                    return loop
+                if target not in back_parent and target not in skip:
+                    back_parent[target] = node
+                    queue.append(target)
+        return None
 
-    def is_anchor(node: Node) -> bool:
-        return accepting(node) and on_cycle(node)
+    def witness_loop(node: Node) -> Optional[list[Node]]:
+        if not accepting(node):
+            return None
+        if node in number:
+            if number[node] == 0:
+                return None
+            loop = loop_through(node, {})
+            if loop is None:
+                raise RuntimeError("internal error: cycle node lost its cycle")
+            return loop
+        loop = loop_through(node, number)
+        if loop is None:
+            _couvreur([node], out_edges, partial(eq, node), 1, number)
+        return loop
 
     parent: dict[Node, Optional[Node]] = {}
     # None stands for a virtual node whose edges are the roots.
     queue: deque[Optional[Node]] = deque([None])
-    anchor = None
-    while anchor is None and queue:
+    while queue:
         node = queue.popleft()
         for target in roots if node is None else out_edges(node):
             if target not in parent:
                 parent[target] = node
                 queue.append(target)
-                if is_anchor(target):
-                    anchor = target
-                    break
-    if anchor is None:
-        return None
-
-    stem = []
-    node = parent[anchor]
-    while node is not None:
-        stem.append(node)
-        node = parent[node]
-    stem.reverse()
-
-    # Shortest closed walk: breadth first from the anchor back to it.
-    back_parent: dict[Node, Node] = {}
-    queue = deque([anchor])
-    closing = None
-    while queue and closing is None:
-        node = queue.popleft()
-        for target in out_edges(node):
-            if target == anchor:
-                closing = node
-                break
-            if target not in back_parent:
-                back_parent[target] = node
-                queue.append(target)
-    if closing is None:
-        raise RuntimeError("internal error: cycle node lost its cycle")
-    loop = [closing]
-    while loop[-1] != anchor:
-        loop.append(back_parent[loop[-1]])
-    loop.reverse()
-    return stem, loop
+                loop = witness_loop(target)
+                if loop is not None:
+                    # The stem ends at `node`, the anchor's parent.
+                    stem = []
+                    while node is not None:
+                        stem.append(node)
+                        node = parent[node]
+                    return stem[::-1], loop
+    return None

@@ -1,4 +1,8 @@
+import hashlib
+import json
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -282,6 +286,33 @@ class TestCheckModel:
         first = check_model(TWO_STATE, parse_core("G a"))
         second = check_model(TWO_STATE, parse_core("G a"))
         assert first == second
+
+
+#: The benchmark's input generator, run from its source so that nothing
+#: under bench/ is imported as a package or byte-compiled.
+BENCH_INPUTS = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "inputs.py"))
+
+#: Seed -> one sha1 per `check_inputs(seed)` item, in order.
+CHECK_SHA1 = json.loads((Path(__file__).parent / "check_sha1.json").read_text(encoding="utf-8"))
+
+
+class TestCheckDigests:
+    @pytest.mark.parametrize("seed", sorted(CHECK_SHA1))
+    def test_benchmark_inputs_keep_their_outputs(self, seed):
+        """Verdicts and witnesses on the `check` workload's inputs.
+
+        Recipe of `check_sha1.json`: for each item of
+        `bench/inputs.py`'s `check_inputs(seed)`, seeds 1-3, in order,
+        `verdict = check_model(parse_model(item["model"]),
+        parse_core(item["formula"]))`, and the digest is the sha1 hex of
+        `repr((verdict.value.name, verdict.witness))` in UTF-8.
+        """
+        digests = []
+        for item in BENCH_INPUTS["check_inputs"](int(seed)):
+            verdict = check_model(parse_model(item["model"]), parse_core(item["formula"]))
+            text = repr((verdict.value.name, verdict.witness))
+            digests.append(hashlib.sha1(text.encode("utf-8")).hexdigest())
+        assert digests == CHECK_SHA1[seed]
 
 
 class TestLazyCheck:
