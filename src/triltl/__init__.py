@@ -22,8 +22,6 @@ _MODULE_EXPORTS = {
         "StateVec",
         "enumerate_elementary",
         "format_state",
-        "is_consistent",
-        "is_locally_consistent",
         "state_members",
     ),
     "emit": ("HoaAutomaton", "HoaFormatError", "read_hoa", "to_dot", "to_hoa"),
@@ -35,13 +33,11 @@ _MODULE_EXPORTS = {
         "build_family",
         "degeneralize",
         "state_pattern",
-        "successors",
     ),
     "letters": (
         "Letter",
         "LetterFormatError",
         "UnknownAtomError",
-        "all_letters",
         "format_letter",
         "make_letter",
         "parse_letter",
@@ -61,12 +57,8 @@ _MODULE_EXPORTS = {
     "semantics": (
         "LassoFormatError",
         "LassoWord",
-        "NonTotalLetterError",
-        "enumerate_lassos",
         "eval_lasso",
-        "eval_lasso_two_valued",
         "lasso",
-        "parse_lasso",
     ),
     "syntax": (
         "And",

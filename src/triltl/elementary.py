@@ -40,7 +40,7 @@ def signed(mark: int, positive: bool) -> int:
 
 
 # The local rules, over the marks of a base and of its operands as
-# referenced.  Consistency checks and enumeration tables both read them.
+# referenced.  The enumeration tables read them.
 
 
 def _and_holds(c: int, l: int, r: int) -> bool:
@@ -58,26 +58,6 @@ def _until_holds(u: int, l: int, r: int) -> bool:
         and (u != NEG or r == NEG)
         and (u != POS or r == POS or l == POS)
         and (l != NEG or r != NEG or u == NEG)
-    )
-
-
-def is_consistent(vec: Sequence[int], closure: Closure) -> bool:
-    """Propositional consistency: every conjunction base obeys
-    `_and_holds`, and the constant true, when present in the closure, is
-    marked positive."""
-    if closure.true_index is not None and vec[closure.true_index] != POS:
-        return False
-    return all(
-        _and_holds(vec[i], signed(vec[l], lpos), signed(vec[r], rpos))
-        for i, (l, lpos), (r, rpos) in closure.conjunctions
-    )
-
-
-def is_locally_consistent(vec: Sequence[int], closure: Closure) -> bool:
-    """Local consistency: every until base obeys `_until_holds`."""
-    return all(
-        _until_holds(vec[i], signed(vec[l], lpos), signed(vec[r], rpos))
-        for i, (l, lpos), (r, rpos) in closure.untils
     )
 
 

@@ -33,7 +33,7 @@ from .elementary import (
     signed,
     slot,
 )
-from .letters import Letter, UnknownAtomError, restrict_letter
+from .letters import Letter, UnknownAtomError
 from .syntax import Closure, Formula, atoms_of, closure_of
 from .truth import Truth
 
@@ -186,12 +186,6 @@ class Gnba:
         """The acceptance sets of `acceptance_sets`, read off `marks` on first use."""
         return _sets_of(self.marks, self.all_marks)
 
-    def transitions(self, sid: int, letter: Letter) -> tuple[int, ...]:
-        """Successor ids for a state under a letter (empty on guard mismatch)."""
-        if restrict_letter(letter, self.closure.atoms) != self.patterns[sid]:
-            return ()
-        return self.succ[sid]
-
     def state_label(self, sid: int) -> str:
         return self.labels[sid]
 
@@ -239,7 +233,7 @@ class LazyFamily:
     pattern is l, in their lexicographic order, which is the order
     `build_family` numbers them in.  So `roots(value, l)` lists the
     initial states of the automaton for `value` whose pattern is l, and
-    `targets(q, l)` the successors of q whose pattern is l, in the same
+    `targets(q, l)` the successor states of q with pattern l, in the same
     relative order as the eager automaton.  A letter given as None pins
     no atom, so it reads the whole family.  A state's id is the node id
     of its leaf in the trie below, and `marks[q]` is q's acceptance
@@ -306,11 +300,11 @@ class LazyFamily:
 
 
 def _pin_free_family(closure: Closure) -> LazyFamily:
-    """The one pin-free `LazyFamily` of `closure` that `successors` and
-    `acceptance_sets` read, so that calls over many states of one
-    closure grow one trie.  It is kept on the closure and lives as long
-    as the closure does.  (A weak-keyed table would keep every closure
-    alive instead, since the family refers to its closure.)"""
+    """The one pin-free `LazyFamily` of `closure` that `acceptance_sets`
+    reads, so that calls over many states of one closure grow one trie.
+    It is kept on the closure and lives as long as the closure does.  (A
+    weak-keyed table would keep every closure alive instead, since the
+    family refers to its closure.)"""
     family = getattr(closure, "_pin_free_family", None)
     if family is None:
         family = closure._pin_free_family = LazyFamily(closure, [None])
@@ -326,21 +320,6 @@ def _state_id(family: LazyFamily, vec: Sequence[int]) -> int:
     return found[0]
 
 
-def successors(vec: StateVec, letter: Letter, closure: Closure) -> list[StateVec]:
-    """States reachable from `vec` when reading `letter`.
-
-    Empty unless the letter, restricted to the closure's atoms, equals
-    the state's own literal pattern; otherwise all elementary states
-    whose marks satisfy the next/until linkage with `vec`.  Raises
-    ValueError when `vec` is not an elementary set.
-    """
-    family = _pin_free_family(closure)
-    q = _state_id(family, vec)
-    if restrict_letter(letter, closure.atoms) != state_pattern(vec, closure):
-        return []
-    return list(map(family._tables.vecs.__getitem__, family.targets(q, 0)))
-
-
 def _sets_of(marks: Sequence[int], all_marks: int) -> tuple[frozenset[int], ...]:
     """Per bit k of `all_marks`, the indices of the `marks` with bit k."""
     return tuple(
@@ -353,7 +332,8 @@ def acceptance_sets(
     states: Sequence[StateVec], closure: Closure
 ) -> list[frozenset[int]]:
     """One acceptance set per until base, in closure order, then the
-    full state set.  Raises ValueError as `successors` does."""
+    full state set.  Raises ValueError on a vector that is not an
+    elementary set of the closure."""
     family = _pin_free_family(closure)
     marks = [family.marks[_state_id(family, vec)] for vec in states]
     return list(_sets_of(marks, family.all_marks))
@@ -423,7 +403,7 @@ def build_automaton(
 def build_family(
     psi: Formula, alphabet: Sequence[str], cap: int = DEFAULT_CANDIDATE_CAP
 ) -> dict[Truth, Gnba]:
-    """All three automata of a formula, sharing states and transitions."""
+    """All three automata of a formula, sharing states and successor lists."""
     return _read_in_full(psi, alphabet, cap, tuple(Truth))
 
 

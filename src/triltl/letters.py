@@ -6,7 +6,7 @@ atoms that fail, and omits atoms whose value is unknown.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .syntax import is_atom_name
 
@@ -39,23 +39,6 @@ def restrict_letter(letter: Letter, atoms) -> Letter:
 
 def letter_atoms(letter: Letter) -> frozenset[str]:
     return frozenset(name for name, _ in letter)
-
-
-def all_letters(alphabet: Sequence[str]) -> tuple[Letter, ...]:
-    """All 3^n consistent letters over the alphabet.
-
-    Ordered with earlier atoms varying slowest and each atom cycling
-    through unset, positive, negative.
-    """
-    letters: list[frozenset] = [frozenset()]
-    for name in alphabet:
-        extended = []
-        for base in letters:
-            extended.append(base)
-            extended.append(base | {(name, True)})
-            extended.append(base | {(name, False)})
-        letters = extended
-    return tuple(letters)
 
 
 def format_letter(letter: Letter) -> str:

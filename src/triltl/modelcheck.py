@@ -57,9 +57,6 @@ class TransitionModel:
             out[position[src]].append(position[dst])
         return tuple(map(tuple, out))
 
-    def successors(self, state: str) -> tuple[str, ...]:
-        return tuple(self.states[i] for i in self.adjacency[self.position[state]])
-
     def label(self, state: str, atom: str) -> Truth:
         return self.labels.get(state, {}).get(atom, Truth.UNKNOWN)
 
@@ -204,7 +201,7 @@ def _product(
     `adjacency[s]`.  Product node q * n + s pairs automaton state q with
     graph node s, where n is the number of graph nodes, so the automaton
     may grow during the search.  The automaton is read through
-    `targets(q, l)`, the successors of q whose pattern is letter l,
+    `targets(q, l)`, the successor states of q with pattern letter l,
     asked once per (q, l), so a node is generated only when q's pattern
     equals the letter of s: any other node can never move.  `roots` are
     the automaton states paired with graph node `start`.  Returns

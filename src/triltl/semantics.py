@@ -12,27 +12,13 @@ automaton construction, which makes it a usable oracle for it.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterator, Optional, Sequence
-
-from .letters import (
-    Letter,
-    UnknownAtomError,
-    all_letters,
-    letter_atoms,
-    make_letter,
-    parse_letter_sequence,
-)
+from .letters import Letter, UnknownAtomError, letter_atoms, make_letter
 from .syntax import And, Atom, Formula, Next, Not, TrueConst, Until, short_repr, subformulas
 from .truth import Truth
 
 
 class LassoFormatError(ValueError):
     """Malformed lasso (empty loop or letters outside the alphabet)."""
-
-
-class NonTotalLetterError(ValueError):
-    """A letter leaves some alphabet atom unassigned."""
 
 
 class LassoWord:
@@ -96,45 +82,9 @@ class LassoWord:
         """Next position: i + 1, wrapping from the last back to the loop start."""
         return i + 1 if i + 1 < self.length else len(self.stem)
 
-    def is_total(self) -> bool:
-        """Does every letter assign every alphabet atom?"""
-        return all(
-            letter_atoms(letter) == set(self.alphabet) for letter in self.letters
-        )
-
 
 def lasso(stem, loop, alphabet) -> LassoWord:
     return LassoWord(tuple(stem), tuple(loop), tuple(alphabet))
-
-
-def parse_lasso(
-    stem_text: str, loop_text: str, alphabet: Optional[Sequence[str]] = None
-) -> LassoWord:
-    """Parse stem and loop strings ("a;!a" and "a,!b" style) into a lasso.
-
-    Without an explicit alphabet, the atoms mentioned in the letters are
-    used.
-    """
-    stem = parse_letter_sequence(stem_text)
-    loop = parse_letter_sequence(loop_text)
-    if alphabet is None:
-        names: set[str] = set()
-        for letter in (*stem, *loop):
-            names |= letter_atoms(letter)
-        alphabet = sorted(names)
-    return lasso(stem, loop, alphabet)
-
-
-def _subformulas_in(psi: Formula, word: LassoWord) -> list[Formula]:
-    """The subformulas of psi, bottom-up, once its atoms are known to be
-    in the word's alphabet."""
-    order = subformulas(psi)
-    missing = {g.name for g in order if isinstance(g, Atom)} - set(word.alphabet)
-    if missing:
-        raise UnknownAtomError(
-            f"formula atom {sorted(missing)[0]!r} is not in the lasso alphabet"
-        )
-    return order
 
 
 def _label_tables(
@@ -194,68 +144,15 @@ def _label_tables(
 
 def eval_lasso(psi: Formula, word: LassoWord) -> Truth:
     """The three-valued value of `psi` on the infinite word at position 0."""
-    t, f = _label_tables(_subformulas_in(psi, word), word)[psi]
+    order = subformulas(psi)
+    missing = {g.name for g in order if isinstance(g, Atom)} - set(word.alphabet)
+    if missing:
+        raise UnknownAtomError(
+            f"formula atom {sorted(missing)[0]!r} is not in the lasso alphabet"
+        )
+    t, f = _label_tables(order, word)[psi]
     if t[0]:
         return Truth.TRUE
     if f[0]:
         return Truth.FALSE
     return Truth.UNKNOWN
-
-
-def eval_lasso_two_valued(psi: Formula, word: LassoWord) -> bool:
-    """Classical satisfaction on a word whose letters are all total.
-
-    Sweeps each until to its least fixpoint, a reference for the one
-    ordered pass of `eval_lasso`; falsehood is the complement of truth.
-    """
-    order = _subformulas_in(psi, word)
-    n = word.length
-    for i, letter in enumerate(word.letters):
-        if letter_atoms(letter) != set(word.alphabet):
-            raise NonTotalLetterError(f"letter at position {i} is not total")
-    succ = [word.successor(i) for i in range(n)]
-    letters = word.letters
-    tables: dict[Formula, list[bool]] = {}
-    for g in order:
-        if isinstance(g, Atom):
-            t = [(g.name, True) in letters[i] for i in range(n)]
-        elif isinstance(g, TrueConst):
-            t = [True] * n
-        elif isinstance(g, Not):
-            t = [not v for v in tables[g.child]]
-        elif isinstance(g, Next):
-            ct = tables[g.child]
-            t = [ct[succ[i]] for i in range(n)]
-        elif isinstance(g, And):
-            lt, rt = tables[g.left], tables[g.right]
-            t = [lt[i] and rt[i] for i in range(n)]
-        elif isinstance(g, Until):
-            lt, rt = tables[g.left], tables[g.right]
-            t = [False] * n
-            changed = True
-            while changed:
-                changed = False
-                for i in range(n - 1, -1, -1):
-                    if not t[i] and (rt[i] or (lt[i] and t[succ[i]])):
-                        t[i] = True
-                        changed = True
-        else:
-            raise ValueError(f"not a core formula: {short_repr(g)}")
-        tables[g] = t
-    return tables[psi][0]
-
-
-def enumerate_lassos(
-    alphabet: Sequence[str], max_stem: int, max_loop: int
-) -> Iterator[LassoWord]:
-    """All lassos with the given stem and loop bounds over consistent
-    letters, in deterministic order and without syntactic duplicates."""
-    if max_loop < 1:
-        raise ValueError("max_loop must be at least 1")
-    alphabet = tuple(alphabet)
-    letters = all_letters(alphabet)
-    for stem_len in range(max_stem + 1):
-        for stem in product(letters, repeat=stem_len):
-            for loop_len in range(1, max_loop + 1):
-                for loop in product(letters, repeat=loop_len):
-                    yield LassoWord(stem, loop, alphabet)

@@ -194,7 +194,9 @@ ATOM_NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 
 
 def is_atom_name(text: str) -> bool:
-    return ATOM_NAME_RE.fullmatch(text) is not None
+    """Can `text` name an atom?  `true` and `false` always parse as the
+    constants, so no formula could name an atom called either."""
+    return ATOM_NAME_RE.fullmatch(text) is not None and text not in ("true", "false")
 
 
 # ---------------------------------------------------------------------------
@@ -561,14 +563,6 @@ class Closure:
         if isinstance(g, Not):
             return (self.index[g.child], False)
         return (self.index[g], True)
-
-    def signed_members(self) -> tuple[Formula, ...]:
-        """The full signed closure: every base and its negation."""
-        out = []
-        for b in self.bases:
-            out.append(b)
-            out.append(negated(b))
-        return tuple(out)
 
 
 def closure_of(f: Formula) -> Closure:

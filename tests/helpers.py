@@ -11,6 +11,7 @@ import json
 import re
 from collections import deque
 from itertools import product
+from typing import Iterator
 
 import networkx as nx
 from hypothesis import strategies as st
@@ -285,6 +286,85 @@ def reference_eval_lasso(psi: Formula, word: LassoWord) -> Truth:
                 row.append(T if true else F if false else U)
         values[g] = row
     return values[psi][0]
+
+
+# ---------------------------------------------------------------------------
+# Classical lasso oracle: two-valued satisfaction on total words, each
+# until swept to its least fixpoint until nothing changes (independent
+# of `eval_lasso`'s ordered backward pass).
+# ---------------------------------------------------------------------------
+
+
+def is_total(word: LassoWord) -> bool:
+    """Does every letter of the word assign every alphabet atom?"""
+    return all(len(letter) == len(word.alphabet) for letter in word.letters)
+
+
+def eval_lasso_two_valued(psi: Formula, word: LassoWord) -> bool:
+    """Classical satisfaction on a word whose letters are all total;
+    falsehood is the complement of truth."""
+    assert is_total(word), word
+    n = word.length
+    succ = [word.successor(i) for i in range(n)]
+    letters = word.letters
+    tables: dict[Formula, list[bool]] = {}
+    for g in subformulas(psi):
+        if isinstance(g, Atom):
+            t = [(g.name, True) in letters[i] for i in range(n)]
+        elif isinstance(g, TrueConst):
+            t = [True] * n
+        elif isinstance(g, Not):
+            t = [not v for v in tables[g.child]]
+        elif isinstance(g, Next):
+            ct = tables[g.child]
+            t = [ct[succ[i]] for i in range(n)]
+        elif isinstance(g, And):
+            lt, rt = tables[g.left], tables[g.right]
+            t = [lt[i] and rt[i] for i in range(n)]
+        else:
+            assert isinstance(g, Until), g
+            lt, rt = tables[g.left], tables[g.right]
+            t = [False] * n
+            changed = True
+            while changed:
+                changed = False
+                for i in range(n - 1, -1, -1):
+                    if not t[i] and (rt[i] or (lt[i] and t[succ[i]])):
+                        t[i] = True
+                        changed = True
+        tables[g] = t
+    return tables[psi][0]
+
+
+def all_letters(alphabet) -> tuple[frozenset, ...]:
+    """All 3^n consistent letters over the alphabet.
+
+    Ordered with earlier atoms varying slowest and each atom cycling
+    through unset, positive, negative.
+    """
+    letters: list[frozenset] = [frozenset()]
+    for name in alphabet:
+        extended = []
+        for base in letters:
+            extended.append(base)
+            extended.append(base | {(name, True)})
+            extended.append(base | {(name, False)})
+        letters = extended
+    return tuple(letters)
+
+
+def enumerate_lassos(alphabet, max_stem: int, max_loop: int) -> Iterator[LassoWord]:
+    """All lassos with the given stem and loop bounds over consistent
+    letters, in deterministic order and without syntactic duplicates."""
+    if max_loop < 1:
+        raise ValueError("max_loop must be at least 1")
+    alphabet = tuple(alphabet)
+    letters = all_letters(alphabet)
+    for stem_len in range(max_stem + 1):
+        for stem in product(letters, repeat=stem_len):
+            for loop_len in range(1, max_loop + 1):
+                for loop in product(letters, repeat=loop_len):
+                    yield LassoWord(stem, loop, alphabet)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,7 @@ from triltl import (
     build_automaton,
     check_model,
     degeneralize,
-    enumerate_lassos,
     eval_lasso,
-    eval_lasso_two_valued,
     nba_accepts_lasso,
     parse_core,
     parse_model,
@@ -34,7 +32,14 @@ from triltl import (
 from triltl.gnba import build_family
 from triltl.modelcheck import induced_word
 from triltl.syntax import Formula
-from helpers import CORPUS, model_doc, validate_dot
+from helpers import (
+    CORPUS,
+    enumerate_lassos,
+    eval_lasso_two_valued,
+    is_total,
+    model_doc,
+    validate_dot,
+)
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -202,7 +207,7 @@ def test_criterion_5_two_valued_conformance(corpus_matrix):
     for entry in corpus_matrix:
         atoms = set(entry.alphabet)
         for word, accepted in zip(entry.lassos, entry.accepted):
-            if not word.is_total():
+            if not is_total(word):
                 continue
             checked += 1
             classical = eval_lasso_two_valued(entry.psi, word)

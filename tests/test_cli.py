@@ -191,6 +191,18 @@ class TestTranslate:
         assert validate_dot(dot.read_text(encoding="utf-8")) == (9, 81)
 
 
+    @pytest.mark.parametrize("keyword", ["true", "false"])
+    def test_constant_keyword_is_no_atom_name(self, capsys, tmp_path, keyword):
+        code, stdout, stderr = run(
+            capsys,
+            "translate", "--formula", "a", "--alphabet", f"a,{keyword}",
+            "--value", "t", "--out-dot", str(tmp_path / "out.gv"),
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: bad atom name {keyword!r} in alphabet\n"
+        assert not (tmp_path / "out.gv").exists()
+
+
 class TestCheck:
     def test_true_verdict(self, capsys, tmp_path):
         path = tmp_path / "m.json"
@@ -317,6 +329,14 @@ class TestCheck:
         assert stdout == ""
         assert stderr == "error: formula atom 'a' is not in the alphabet\n"
 
+    @pytest.mark.parametrize("keyword", ["true", "false"])
+    def test_constant_keyword_is_no_atom_name(self, capsys, tmp_path, keyword):
+        path = tmp_path / "m.json"
+        path.write_text(model_doc(["s0"], "s0", [["s0", "s0"]], {"s0": {keyword: "t"}}))
+        code, stdout, stderr = run(capsys, "check", "--model", str(path), "--formula", "true")
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: bad atom name {keyword!r}\n"
+
     def test_malformed_model(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(model_doc(["s0"], "s0", [], {}))
@@ -404,6 +424,27 @@ class TestEval:
         )
         assert code == 2
         assert "bad literal" in stderr
+
+    @pytest.mark.parametrize("keyword", ["true", "false"])
+    def test_constant_keyword_is_no_atom_name(self, capsys, keyword):
+        code, stdout, stderr = run(
+            capsys, "eval", "--formula", "true", "--stem", "", "--loop", f"!{keyword}"
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: bad literal {keyword!r}\n"
+
+    def test_stem_and_loop_letters_are_read_in_order(self, capsys):
+        # b appears only in a letter, so the alphabet comes from the letters too.
+        for formula in ("a & X !a & X X G a", "X X G !b"):
+            code, stdout, _ = run(
+                capsys, "eval", "--formula", formula, "--stem", "a;!a", "--loop", "a,!b"
+            )
+            assert (code, stdout) == (0, "TRUE\n")
+
+    def test_empty_stem_holds_no_letter(self, capsys):
+        # One empty letter in the stem would leave a unknown at position 0.
+        code, stdout, _ = run(capsys, "eval", "--formula", "a", "--stem", "", "--loop", "a")
+        assert (code, stdout) == (0, "TRUE\n")
 
     def test_inconsistent_letter(self, capsys):
         code, _, stderr = run(

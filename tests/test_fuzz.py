@@ -1,11 +1,15 @@
-"""Fuzz the three text parsers: whatever the input, only ValueError
-subclasses (which the CLI turns into exit 2) may escape."""
+"""Fuzz the three text inputs: whatever the input, the formula and
+model parsers let only ValueError subclasses (which the CLI turns into
+exit 2) escape, and `eval` reads lasso text to exit code 0 or 2."""
 
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 from hypothesis import given, settings, strategies as st
 
-from triltl import parse_core, parse_lasso, parse_model
+from triltl import parse_core, parse_model
+from triltl.cli import main
 
 FUZZ = settings(max_examples=200, deadline=None)
 
@@ -38,6 +42,14 @@ letter_text = st.one_of(
     st.text(alphabet="ab,;! \t9_", max_size=30),
     st.text(max_size=15),
 )
+
+#: Letter sequences in the grammar ("a,!b;;c"), so that many lassos
+#: get past parsing and are evaluated.
+letter_sequence_text = st.lists(
+    st.lists(st.sampled_from(["a", "!a", "b", "!b", "c"]), max_size=2).map(",".join),
+    max_size=3,
+).map(";".join)
+lasso_text = st.one_of(letter_text, letter_sequence_text)
 
 json_value = st.recursive(
     st.one_of(
@@ -119,15 +131,21 @@ def test_parse_core_of_deep_texts_raises_only_value_errors(text):
 
 @FUZZ
 @given(
-    letter_text,
-    letter_text,
-    st.one_of(st.none(), st.lists(st.sampled_from(["a", "b", "c"]), max_size=3)),
+    lasso_text,
+    lasso_text,
+    st.one_of(
+        st.none(),
+        st.lists(st.sampled_from(["a", "b", "c"]), max_size=3).map(",".join),
+        letter_text,
+    ),
 )
-def test_parse_lasso_raises_only_value_errors(stem, loop, alphabet):
-    try:
-        parse_lasso(stem, loop, alphabet)
-    except ValueError:
-        pass
+def test_eval_of_lasso_text_exits_0_or_2(stem, loop, alphabet):
+    # The `=` form keeps text that starts with "-" from reading as a flag.
+    argv = ["eval", "--formula", "a", f"--stem={stem}", f"--loop={loop}"]
+    if alphabet is not None:
+        argv.append(f"--alphabet={alphabet}")
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        assert main(argv) in (0, 2)
 
 
 @FUZZ

@@ -16,18 +16,17 @@ from triltl import (
     closure_of,
     degeneralize,
     enumerate_elementary,
-    enumerate_lassos,
     format_state,
     nba_accepts_lasso,
     parse_core,
-    state_pattern,
-    successors,
 )
 from triltl import gnba
 from triltl.gnba import LazyFamily, build_family
-from triltl.letters import all_letters, restrict_letter
+from triltl.letters import restrict_letter
 from helpers import (
     CORPUS,
+    all_letters,
+    enumerate_lassos,
     gnba_accepts_lasso,
     naive_acceptance,
     naive_elementary,
@@ -106,78 +105,97 @@ class TestBuildAutomaton:
         assert len({top.initial, bot.initial, unk.initial}) == 3
 
 
+def automaton(text):
+    """The automaton for TRUE of `text` over the formula's own atoms."""
+    psi = parse_core(text)
+    return build_automaton(psi, sorted(atoms_of(psi)), Truth.TRUE)
+
+
+def reads(g, vec, lt):
+    """Does the state `vec` of `g` read the letter `lt`: is the letter,
+    restricted to the closure's atoms, the state's pattern?"""
+    return restrict_letter(lt, g.closure.atoms) == g.patterns[g.states.index(vec)]
+
+
+def successor_vecs(g, vec, candidates=None):
+    """The successors of the state `vec` of `g`, checked against the
+    naive oracle."""
+    out = [g.states[t] for t in g.succ[g.states.index(vec)]]
+    assert out == naive_successors(g.closure, vec, candidates)
+    return out
+
+
 class TestSuccessors:
+    """A state's successor list in the eager automaton, and the letters
+    its guard lets it read."""
+
     def test_next_positive_forces_positive_operand(self):
-        c = closure_of(parse_core("X a"))
-        source = vec_of(c, {"a": POS, "X a": POS})
-        succ = successors(source, letter(("a", True)), c)
-        labels = {format_state(v, c) for v in succ}
+        g = automaton("X a")
+        source = vec_of(g.closure, {"a": POS, "X a": POS})
+        assert reads(g, source, letter(("a", True)))
+        labels = {format_state(v, g.closure) for v in successor_vecs(g, source)}
         assert labels == {"{a}", "{a, X a}", "{a, !X a}"}
 
     def test_letter_guard_mismatch_gives_no_successors(self):
-        c = closure_of(parse_core("X a"))
-        source = vec_of(c, {"a": POS, "X a": POS})
-        assert successors(source, letter(), c) == []
+        g = automaton("X a")
+        source = vec_of(g.closure, {"a": POS, "X a": POS})
+        assert not reads(g, source, letter())
 
     def test_absent_next_forces_absent_operand(self):
-        c = closure_of(parse_core("X a"))
+        g = automaton("X a")
         empty = (ABSENT, ABSENT)
-        succ = successors(empty, letter(), c)
-        labels = {format_state(v, c) for v in succ}
+        assert reads(g, empty, letter())
+        labels = {format_state(v, g.closure) for v in successor_vecs(g, empty)}
         assert labels == {"∅", "{X a}", "{!X a}"}
 
     def test_negative_next_forces_negative_operand(self):
-        c = closure_of(parse_core("X a"))
-        source = vec_of(c, {"X a": NEG})
-        succ = successors(source, letter(), c)
-        assert {format_state(v, c) for v in succ} == {
+        g = automaton("X a")
+        source = vec_of(g.closure, {"X a": NEG})
+        assert reads(g, source, letter())
+        assert {format_state(v, g.closure) for v in successor_vecs(g, source)} == {
             "{!a}",
             "{!a, X a}",
             "{!a, !X a}",
         }
 
     def test_pending_until_propagates(self):
-        c = closure_of(parse_core("a U b"))
-        source = vec_of(c, {"a": POS, "a U b": POS})
-        u_idx = c.index[parse_core("a U b")]
-        succ = successors(source, letter(("a", True)), c)
+        g = automaton("a U b")
+        source = vec_of(g.closure, {"a": POS, "a U b": POS})
+        u_idx = g.closure.index[parse_core("a U b")]
+        assert reads(g, source, letter(("a", True)))
+        succ = successor_vecs(g, source)
         assert succ
         assert all(vec[u_idx] == POS for vec in succ)
 
     def test_satisfied_until_is_unconstrained(self):
-        c = closure_of(parse_core("a U b"))
-        source = vec_of(c, {"b": POS, "a U b": POS})
-        succ = successors(source, letter(("b", True)), c)
-        assert len(succ) == len(enumerate_elementary(c))
+        g = automaton("a U b")
+        source = vec_of(g.closure, {"b": POS, "a U b": POS})
+        assert reads(g, source, letter(("b", True)))
+        assert len(successor_vecs(g, source)) == len(enumerate_elementary(g.closure))
 
     def test_negated_until_with_negated_right_propagates(self):
-        c = closure_of(parse_core("a U b"))
-        source = vec_of(c, {"b": NEG, "a U b": NEG})
-        u_idx = c.index[parse_core("a U b")]
-        succ = successors(source, letter(("b", False)), c)
+        g = automaton("a U b")
+        source = vec_of(g.closure, {"b": NEG, "a U b": NEG})
+        u_idx = g.closure.index[parse_core("a U b")]
+        assert reads(g, source, letter(("b", False)))
+        succ = successor_vecs(g, source)
         assert succ
         assert all(vec[u_idx] == NEG for vec in succ)
 
     def test_deadlocking_state_is_permitted(self):
         # Pending X(a U b) forces the until positively in the successor,
         # while an absent until with a positive left operand forbids it.
-        c = closure_of(parse_core("X (a U b)"))
-        source = vec_of(c, {"a": POS, "X (a U b)": POS})
-        assert successors(source, state_pattern(source, c), c) == []
+        g = automaton("X (a U b)")
+        source = vec_of(g.closure, {"a": POS, "X (a U b)": POS})
+        assert successor_vecs(g, source) == []
 
     def test_every_elementary_source_has_one_enabled_pattern(self):
-        g = build_automaton(parse_core("a U b"), ["a", "b"], Truth.TRUE)
+        g = automaton("a U b")
         c = g.closure
-        from triltl import all_letters
-
         for sid, vec in enumerate(g.states):
-            enabled = {
-                lt for lt in all_letters(["a", "b"]) if g.transitions(sid, lt)
-            }
-            if g.succ[sid]:
-                assert enabled == {g.patterns[sid]}
-            else:
-                assert enabled == set()
+            enabled = {lt for lt in all_letters(["a", "b"]) if g.succ[sid] and reads(g, vec, lt)}
+            own = frozenset((name, vec[i] == POS) for i, name in c.atom_coords if vec[i] != ABSENT)
+            assert enabled == ({own} if g.succ[sid] else set())
 
     @pytest.mark.parametrize("text", CORPUS)
     def test_shared_succ_matches_per_state_successors(self, text):
@@ -197,11 +215,12 @@ class TestSuccessors:
 
     @pytest.mark.parametrize("text", ["!(a U b)", "a R (b U a)"])
     def test_successors_match_the_oracle_under_negated_untils(self, text):
-        c = closure_of(parse_core(text))
+        g = automaton(text)
+        c = g.closure
         candidates = naive_elementary(c)
-        for vec in sorted(candidates):
-            expected = naive_successors(c, vec, candidates)
-            assert successors(vec, state_pattern(vec, c), c) == expected
+        assert list(g.states) == sorted(candidates)
+        for vec in g.states:
+            successor_vecs(g, vec, candidates)
         states = sorted(candidates, reverse=True)
         assert tuple(acceptance_sets(states, c)) == naive_acceptance(c, states)
 
@@ -215,11 +234,9 @@ class TestSuccessors:
 
         monkeypatch.setattr(gnba, "Tables", CountedTables)
         c = closure_of(parse_core("a R (b U a)"))
-        candidates = naive_elementary(c)
-        for vec in sorted(candidates):
-            expected = naive_successors(c, vec, candidates)
-            assert successors(vec, state_pattern(vec, c), c) == expected
-        states = sorted(candidates)
+        states = sorted(naive_elementary(c))
+        for vec in states:
+            assert tuple(acceptance_sets([vec], c)) == naive_acceptance(c, [vec])
         assert tuple(acceptance_sets(states, c)) == naive_acceptance(c, states)
         assert built == [c]
 
@@ -233,8 +250,6 @@ class TestSuccessors:
     )
     def test_non_elementary_vectors_are_refused(self, vec):
         c = closure_of(parse_core("a U b"))
-        with pytest.raises(ValueError, match="not an elementary set"):
-            successors(vec, letter(), c)
         with pytest.raises(ValueError, match="not an elementary set"):
             acceptance_sets([(ABSENT,) * 3, vec], c)
 
@@ -331,10 +346,11 @@ class TestLazyAgainstEager:
 class TestExtraAlphabetAtoms:
     def test_letters_are_free_on_atoms_outside_the_closure(self):
         g = build_automaton(parse_core("X a"), ["a", "b"], Truth.UNKNOWN)
-        empty_id = g.states.index((ABSENT, ABSENT))
+        empty = (ABSENT, ABSENT)
+        assert g.succ[g.states.index(empty)]
         for extra in (letter(), letter(("b", True)), letter(("b", False))):
-            assert g.transitions(empty_id, extra) == g.succ[empty_id]
-        assert g.transitions(empty_id, letter(("a", True))) == ()
+            assert reads(g, empty, extra)
+        assert not reads(g, empty, letter(("a", True)))
 
     def test_state_space_ignores_extra_atoms(self):
         small = build_automaton(parse_core("X a"), ["a"], Truth.UNKNOWN)

@@ -18,7 +18,6 @@ from triltl import (
     check_model,
     closure_of,
     degeneralize,
-    enumerate_lassos,
     eval_lasso,
     lasso,
     letter_of,
@@ -31,6 +30,7 @@ from triltl import gnba, modelcheck
 from triltl.modelcheck import induced_word
 from helpers import (
     CORPUS,
+    enumerate_lassos,
     gnba_accepts_lasso,
     model_doc,
     reference_product_nonempty,
@@ -537,7 +537,9 @@ class TestTrieOrder:
 
 def _model_lassos(model, max_stem, max_loop):
     """All real (stem, loop) paths of the model from its initial state."""
-    succ = {s: model.successors(s) for s in model.states}
+    succ = {s: [] for s in model.states}
+    for src, dst in model.edges:
+        succ[src].append(dst)
 
     def paths(start, length):
         if length == 0:

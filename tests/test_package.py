@@ -18,17 +18,15 @@ ROOT = Path(__file__).resolve().parents[1]
 EXPORTED = sorted(
     """
     ABSENT DEFAULT_CANDIDATE_CAP NEG POS StateSpaceLimitError StateVec
-    enumerate_elementary format_state is_consistent is_locally_consistent
-    state_members
+    enumerate_elementary format_state state_members
     HoaAutomaton HoaFormatError read_hoa to_dot to_hoa
     Gnba Nba acceptance_sets build_automaton build_family degeneralize
-    state_pattern successors
-    Letter LetterFormatError UnknownAtomError all_letters format_letter
-    make_letter parse_letter parse_letter_sequence restrict_letter
+    state_pattern
+    Letter LetterFormatError UnknownAtomError format_letter make_letter
+    parse_letter parse_letter_sequence restrict_letter
     ModelFormatError TransitionModel Verdict check_model letter_of
     nba_accepts_lasso parse_model product_nonempty
-    LassoFormatError LassoWord NonTotalLetterError enumerate_lassos eval_lasso
-    eval_lasso_two_valued lasso parse_lasso
+    LassoFormatError LassoWord eval_lasso lasso
     And Atom Closure FalseConst Finally Formula FormulaSyntaxError Globally
     Implies MAX_NESTING Next Not Or Release TrueConst TRUE Until atoms_of
     closure_of desugar format_formula formula_size negated parse parse_core

@@ -136,13 +136,24 @@ class TestFirstAcceptingLasso:
 
 @st.composite
 def marked_graphs(draw):
-    """A digraph on at most 8 nodes with its edges in listed order,
-    roots, an accepting set, and marks over at most 2 acceptance sets."""
+    """A digraph on at most 8 nodes with its edges in listed order, at
+    least one root, an accepting set, and marks over at most 2
+    acceptance sets.
+
+    Among random edges, in random order, lies a path from the first root
+    to a cycle, and in four examples of five one node of that cycle is
+    accepting, so that most examples have a witness."""
     n = draw(st.integers(1, 8))
     node = st.integers(0, n - 1)
-    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
-    roots = draw(st.lists(node, max_size=3))
+    roots = draw(st.lists(node, min_size=1, max_size=3))
+    walk = draw(st.lists(node, min_size=1, max_size=n))
+    back = draw(st.integers(0, len(walk) - 1))
+    planted = [*zip([roots[0], *walk], walk), (walk[-1], walk[back])]
+    extra = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    edges = draw(st.permutations(planted + extra))
     accepting = draw(st.frozensets(node))
+    if draw(st.integers(0, 4)) < 4:
+        accepting |= {draw(st.sampled_from(walk[back:]))}
     sets = draw(st.integers(0, 2))
     all_marks = (1 << sets) - 1
     marks = draw(st.lists(st.integers(0, all_marks), min_size=n, max_size=n))

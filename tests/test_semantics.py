@@ -12,25 +12,26 @@ from triltl import (
     LassoFormatError,
     LassoWord,
     Next,
-    NonTotalLetterError,
     TRUE,
     Truth,
     UnknownAtomError,
     Until,
-    all_letters,
     build_automaton,
     degeneralize,
-    enumerate_lassos,
     eval_lasso,
-    eval_lasso_two_valued,
     lasso,
     nba_accepts_lasso,
     negated,
     parse_core,
-    parse_lasso,
 )
 from triltl import semantics
-from helpers import reference_eval_lasso, shift
+from helpers import (
+    all_letters,
+    enumerate_lassos,
+    eval_lasso_two_valued,
+    reference_eval_lasso,
+    shift,
+)
 
 A, B = Atom("a"), Atom("b")
 AB = ("a", "b")
@@ -114,20 +115,6 @@ class TestLassoWord:
         w = lasso([EMPTY], [POS_A, NEG_A], ["a"])
         assert w.length == 3
         assert [w.successor(i) for i in range(3)] == [1, 2, 1]
-
-    def test_parse_lasso(self):
-        w = parse_lasso("a;!a", "a,!b")
-        assert w.stem == (POS_A, NEG_A)
-        assert w.loop == (frozenset({("a", True), ("b", False)}),)
-        assert w.alphabet == ("a", "b")
-
-    def test_parse_lasso_empty_stem(self):
-        w = parse_lasso("", "a")
-        assert w.stem == ()
-
-    def test_parse_lasso_empty_loop_rejected(self):
-        with pytest.raises(LassoFormatError):
-            parse_lasso("a", "")
 
 
 class TestEvalLasso:
@@ -232,10 +219,6 @@ class TestTwoValued:
     def test_next_false(self):
         psi = parse_core("X a")
         assert not eval_lasso_two_valued(psi, lasso([POS_A], [NEG_A], ["a"]))
-
-    def test_non_total_letter_rejected(self):
-        with pytest.raises(NonTotalLetterError):
-            eval_lasso_two_valued(A, lasso([], [EMPTY], ["a"]))
 
     @given(core_formulas, total_lassos_ab)
     @settings(max_examples=200, deadline=None)
