@@ -25,6 +25,7 @@ from triltl import (
     parse_core,
 )
 from triltl import semantics
+from triltl.letters import parse_letter_sequence
 from helpers import (
     all_letters,
     enumerate_lassos,
@@ -91,6 +92,15 @@ class TestLassoWord:
             LassoWord((POS_A,), (), ("a",))
         with pytest.raises(LassoFormatError, match="outside the alphabet"):
             LassoWord((), (frozenset({("b", True)}),), ("a",))
+
+    def test_parse_lasso_empty_loop_rejected(self):
+        # Lasso text with a stem but a blank loop parses to no loop letter,
+        # which the lasso constructor refuses.
+        stem = parse_letter_sequence("a")
+        loop = parse_letter_sequence("")
+        assert loop == []
+        with pytest.raises(LassoFormatError, match="loop must not be empty"):
+            lasso(stem, loop, ["a"])
 
     def test_value_semantics(self):
         w = LassoWord((EMPTY,), (POS_A, NEG_A), ("a",))
