@@ -20,7 +20,6 @@ _MODULE_EXPORTS = {
         "POS",
         "StateSpaceLimitError",
         "StateVec",
-        "enumerate_elementary",
         "format_state",
         "state_members",
     ),
@@ -32,6 +31,7 @@ _MODULE_EXPORTS = {
         "build_automaton",
         "build_family",
         "degeneralize",
+        "enumerate_elementary",
         "state_pattern",
     ),
     "letters": (

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import compress, product, repeat
+from itertools import accumulate, compress, product, repeat
 from typing import Optional, Sequence
 
 from .elementary import (
@@ -27,14 +27,14 @@ from .elementary import (
     NEG,
     POS,
     StateVec,
-    Tables,
     check_candidate_cap,
+    level_layouts,
     pack,
     signed,
     slot,
 )
 from .letters import Letter, UnknownAtomError
-from .syntax import Closure, Formula, atoms_of, closure_of
+from .syntax import Closure, Formula, atoms_of, closure_of, is_atom_name
 from .truth import Truth
 
 
@@ -67,7 +67,7 @@ def _fulfils(u: int, r: int) -> bool:
 @cache
 def _until_key_table(lpos: bool, rpos: bool) -> tuple[int, ...]:
     """Per index 3 * (3 * l + r) + u of an until level's key constants
-    (see `_level_keys`), the bit set `_until_links` allows the
+    (see `_levels`), the bit set `_until_links` allows the
     successor's u, plus 8 if `_fulfils` holds."""
     return tuple(
         sum(1 << x for x in MARKS if _until_links(u, signed(l, lpos), signed(r, rpos), x))
@@ -76,9 +76,14 @@ def _until_key_table(lpos: bool, rpos: bool) -> tuple[int, ...]:
     )
 
 
-def _level_keys(closure: Closure) -> tuple[list[Optional[list[int]]], int]:
-    """The key constants of a `Tables` trie whose leaf keys hold, in one
-    int, a state's linkage mask, acceptance mask and pattern.
+#: Key constants of a level that leave every key as it is.
+_KEEP = (-1,) * 27
+
+
+def _levels(closure: Closure) -> tuple[list[tuple], int]:
+    """The levels of a `LazyFamily` trie, per base the `level_layouts`
+    entry and the key constants, and the root key.  A leaf's key holds,
+    in one int, a state's linkage mask, acceptance mask and pattern.
 
     The low 3n bits of a leaf's key are the marks the linkage lets a
     successor give each coordinate, packed as by `pack`; the next bits
@@ -87,13 +92,14 @@ def _level_keys(closure: Closure) -> tuple[list[Optional[list[int]]], int]:
     Each part is read once per (level, mark, operand marks) instead of
     once per state: an `X` base sets its operand's successor marks, an
     until base its own successor marks and its acceptance bit, and an
-    atom its pattern bits.  Returns the constants per level (None where
-    a level keeps every key) and the root key.
+    atom its pattern bits.  A child's key is its parent's AND-ed with
+    the constant at index 3 * ix + m of its level, for its own mark m
+    and operand-mark index ix.
     """
     n = len(closure.bases)
     pattern_at = 3 * n + len(closure.untils) + 1
     root = (1 << pattern_at + 3 * len(closure.atom_coords)) - 1
-    consts: list[Optional[list[int]]] = [None] * n
+    consts: list[Sequence[int]] = [_KEEP] * n
     for i, (j, positive) in closure.nexts:
         at = slot(n, j)
         consts[i] = [root ^ ANY << at | 1 << signed(m, positive) << at for m in MARKS]
@@ -107,7 +113,7 @@ def _level_keys(closure: Closure) -> tuple[list[Optional[list[int]]], int]:
         made = [root ^ (ANY ^ b) << at ^ fulfilled for b in range(ANY + 1)]
         made += [keep | fulfilled for keep in made]
         consts[i] = list(map(made.__getitem__, _until_key_table(lpos, rpos)))
-    return consts, root
+    return [(*layout, keys) for layout, keys in zip(level_layouts(closure), consts)], root
 
 
 class PatternIndex:
@@ -209,11 +215,15 @@ def checked_closure(psi: Formula, alphabet: tuple[str, ...], cap: int) -> Closur
     before it enumerates a state.
 
     Raises ValueError when the alphabet repeats an atom,
-    UnknownAtomError when it lacks an atom of `psi`, and
+    UnknownAtomError when it names something that is no atom name
+    (`syntax.is_atom_name`) or lacks an atom of `psi`, and
     StateSpaceLimitError when 3^(closure size) exceeds `cap`.
     """
     if len(set(alphabet)) != len(alphabet):
         raise ValueError("alphabet contains duplicate atoms")
+    for name in alphabet:
+        if not is_atom_name(name):
+            raise UnknownAtomError(f"alphabet name {name!r} is not an atom name")
     missing = sorted(atoms_of(psi) - set(alphabet))
     if missing:
         raise UnknownAtomError(f"formula atom {missing[0]!r} is not in the alphabet")
@@ -235,76 +245,143 @@ class LazyFamily:
     initial states of the automaton for `value` whose pattern is l, and
     `targets(q, l)` the successor states of q with pattern l, in the same
     relative order as the eager automaton.  A letter given as None pins
-    no atom, so it reads the whole family.  A state's id is the node id
-    of its leaf in the trie below, and `marks[q]` is q's acceptance
-    bitmask, bit k for set k of `acceptance_sets`.
+    no atom, so it reads the whole family.
 
-    States are the leaves of one `Tables` trie, walked with the marks
-    allowed per coordinate packed into an int.  Every trie node carries
-    a key built from its parent's (see `_level_keys`), so a
-    state's linkage mask, marks and pattern are read off its leaf's key,
-    not recomputed per state.  Successor lists are shared by the packed
-    mask of the walk: the enumeration reads nothing of the source state
-    but that mask, so sources with equal masks have equal successor
-    lists, in one order.
+    The states are the leaves of the prefix trie of the closure's
+    elementary sets, grown on demand, and a state's id is its leaf's
+    node id.  Node 0 is the empty prefix.  A node at depth i is a
+    consistent assignment to bases 0..i-1; its children extend it by
+    each mark the local rule of base i allows (`level_layouts`).  A node
+    is expanded once, the first time a walk reaches it: its children get
+    consecutive ids in mark order.  `vecs[node]` is the node's
+    assignment vector and `keys[node]` its key, the parent's key AND-ed
+    with a constant of the child's level and mark (see `_levels`),
+    so a state's linkage mask, marks and pattern are read off its leaf's
+    key, not recomputed per state.  `marks[q]` is q's acceptance bitmask,
+    bit k for set k of `acceptance_sets`, taken from the key when the
+    node is made.  `walk` is the one enumerator of elementary sets.
     """
 
     def __init__(self, closure: Closure, letters: Sequence[Optional[Letter]]):
         self.closure = closure
         n = len(closure.bases)
-        self._tables = Tables(closure, *_level_keys(closure))
+        self._levels, root = _levels(closure)
         self._link_bits = (1 << 3 * n) - 1
+        self.all_marks = (1 << (len(closure.untils) + 1)) - 1
+        self.vecs: list[StateVec] = [()]
+        self.keys: list[int] = [root]
+        self.marks: list[int] = [root >> 3 * n & self.all_marks]
+        # Per expanded node, the pair (first child, operand-mark index).
+        self._kids: dict[int, tuple[int, int]] = {}
+        # The literal bases (atoms and true, the bases of size 1) come
+        # first.  Walks resume per value of a mask's bits at them; see
+        # `walk`.
+        literals = len(closure.atom_coords) + (closure.true_index is not None)
+        self._lead = 3 * (n - literals)
+        self._walked: dict[int, tuple[int, list]] = {}
         # Per letter, the packed marks it allows: its own mark at each
         # atom coordinate, every mark elsewhere.  Per atom, the bits to
         # clear for each of its marks.
         clears = [
             (name, [(ANY ^ 1 << m) << slot(n, i) for m in MARKS]) for i, name in closure.atom_coords
         ]
-        self._pins: list[int] = []
-        for letter in letters:
-            pins = self._link_bits
+        self._pins = [self._link_bits] * len(letters)
+        for l, letter in enumerate(letters):
             if letter is not None:
                 value = dict(letter)
-                for name, clear in clears:
-                    pins ^= clear[_LETTER_MARKS[value.get(name)]]
-            self._pins.append(pins)
+                self._pins[l] ^= sum(bits[_LETTER_MARKS[value.get(name)]] for name, bits in clears)
         self.nletters = len(letters)
-        self.all_marks = (1 << (len(closure.untils) + 1)) - 1
-        # Per trie node, the acceptance mask in its key; read at leaves.
-        self.marks: list[int] = []
-        self._keys = self._tables.keys
-        self._targets: dict[int, tuple[int, ...]] = {}
 
-    def _walk(self, allowed: int) -> tuple[int, ...]:
-        """The leaves whose marks `allowed` admits (packed as by `pack`),
-        in lexicographic order, with `marks` grown over the trie."""
-        leaves = tuple(self._tables.walk(allowed))
-        shift, marks = self._link_bits.bit_length(), self.marks
-        marks += [key >> shift & self.all_marks for key in self._keys[len(marks) :]]
-        return leaves
+    def _expand(self, depth: int, nodes: list[int]) -> None:
+        """Expand the nodes of `nodes` (all at `depth`) not expanded yet."""
+        l, r, _, _, suffixes, slots, consts = self._levels[depth]
+        vecs, keys, kids = self.vecs, self.keys, self._kids
+        todo = [node for node in nodes if node not in kids]
+        parents = list(map(vecs.__getitem__, todo))
+        ixs = [0] * len(todo) if l is None else [3 * vec[l] + vec[r] for vec in parents]
+        rows = list(map(suffixes.__getitem__, ixs))
+        first = len(vecs)
+        vecs += [vec + suffix for vec, row in zip(parents, rows) for suffix in row]
+        keys += [
+            key & consts[k] for key, ix in zip(map(keys.__getitem__, todo), ixs) for k in slots[ix]
+        ]
+        shift, all_marks = self._link_bits.bit_length(), self.all_marks
+        self.marks += [key >> shift & all_marks for key in keys[first:]]
+        kids.update(zip(todo, zip(accumulate(map(len, rows), initial=first), ixs)))
 
-    def roots(self, value: Truth, letter: int) -> tuple[int, ...]:
+    def walk(self, mask: int) -> list[int]:
+        """The leaves (nodes at full depth) that `mask` admits, in
+        lexicographic order of their vectors (absent < positive <
+        negative).  The list is the walk's own: callers keep it as it is.
+
+        `mask` is packed as by `pack`.  Each level moves a list of node
+        ids down by the marks allowed there, so no prefix is rebuilt.
+        The node lists of the last walk are kept per value of the mask's
+        bits at the literal bases, and a walk resumes from the first
+        level where its mask differs from that walk's.  So letter-pinned
+        walks share their later levels with earlier walks pinned to the
+        same letter, a repeated mask costs one lookup, and walks in
+        increasing mask order, which is the order of their bit sets from
+        level 0 on, share every level where their masks agree.
+        """
+        levels, kids = self._levels, self._kids
+        n = len(levels)
+        lead = mask >> self._lead
+        last = self._walked.get(lead)
+        if last is None:
+            depth, frontiers = 0, [[0]] + [None] * n
+        else:
+            before, frontiers = last
+            differ = mask ^ before
+            if not differ:
+                return frontiers[n]
+            depth = n - 1 - (differ.bit_length() - 1) // 3
+        self._walked[lead] = (mask, frontiers)
+        nodes = frontiers[depth]
+        for depth in range(depth, n):
+            if not all(map(kids.__contains__, nodes)):
+                self._expand(depth, nodes)
+            select = levels[depth][3][mask >> 3 * (n - 1 - depth) & ANY]
+            nodes = [b + j for b, ix in map(kids.__getitem__, nodes) for j in select[ix]]
+            frontiers[depth + 1] = nodes
+            if not nodes:
+                frontiers[depth + 2 :] = [nodes] * (n - depth - 1)
+                break
+        return nodes
+
+    def roots(self, value: Truth, letter: int) -> list[int]:
         """Initial states of the automaton for `value` with pattern `letter`."""
         idx, wanted = _initial_mark(self.closure, value)
         at = slot(len(self.closure.bases), idx)
-        held = ~(ANY << at) | 1 << wanted << at
-        return self._walk(self._pins[letter] & held)
+        return self.walk(self._pins[letter] & ~((ANY ^ 1 << wanted) << at))
 
-    def targets(self, q: int, letter: int) -> tuple[int, ...]:
+    def targets(self, q: int, letter: int) -> list[int]:
         """Successors of state q with pattern `letter`."""
-        allowed = self._keys[q] & self._pins[letter]
-        found = self._targets.get(allowed)
-        if found is None:
-            found = self._targets[allowed] = self._walk(allowed)
-        return found
+        return self.walk(self.keys[q] & self._pins[letter])
+
+    def labels(self) -> list[str]:
+        """`format_state` of every leaf, in lexicographic order, each
+        made once from its parent's text and its own member's text.  The
+        trie must be fully grown, as a walk that allows every mark leaves
+        it."""
+        nodes, texts, kids = [0], [""], self._kids
+        levels = zip(self._levels, self.closure.base_texts, self.closure.negated_texts)
+        for (_, _, choices, select, *_), pos, neg in levels:
+            member = ("", ", " + pos, ", " + neg)
+            pieces = [[member[m] for m in marks] for marks in choices]
+            children = list(map(kids.__getitem__, nodes))
+            texts = [text + piece for text, (_, ix) in zip(texts, children) for piece in pieces[ix]]
+            nodes = [b + j for b, ix in children for j in select[ANY][ix]]
+        return ["{" + text[2:] + "}" if text else "∅" for text in texts]
 
 
 def _pin_free_family(closure: Closure) -> LazyFamily:
-    """The one pin-free `LazyFamily` of `closure` that `acceptance_sets`
-    reads, so that calls over many states of one closure grow one trie.
-    It is kept on the closure and lives as long as the closure does.  (A
-    weak-keyed table would keep every closure alive instead, since the
-    family refers to its closure.)"""
+    """The one pin-free `LazyFamily` of `closure` that
+    `enumerate_elementary` and `acceptance_sets` read, so that calls
+    over one closure grow one trie.  It is kept on the closure and
+    lives as long as the closure does.  (A weak-keyed table would keep
+    every closure alive instead, since the family refers to its
+    closure.)"""
     family = getattr(closure, "_pin_free_family", None)
     if family is None:
         family = closure._pin_free_family = LazyFamily(closure, [None])
@@ -314,7 +391,7 @@ def _pin_free_family(closure: Closure) -> LazyFamily:
 def _state_id(family: LazyFamily, vec: Sequence[int]) -> int:
     """`vec`'s state id: the one leaf a walk of its exact mask yields."""
     well_formed = len(vec) == len(family.closure.bases) and set(vec) <= set(MARKS)
-    found = family._walk(pack([1 << m for m in vec])) if well_formed else ()
+    found = family.walk(pack([1 << m for m in vec])) if well_formed else ()
     if not found:
         raise ValueError(f"{tuple(vec)!r} is not an elementary set of the closure")
     return found[0]
@@ -326,6 +403,19 @@ def _sets_of(marks: Sequence[int], all_marks: int) -> tuple[frozenset[int], ...]
         frozenset(compress(range(len(marks)), map((1 << k).__and__, marks)))
         for k in range(all_marks.bit_length())
     )
+
+
+def enumerate_elementary(
+    closure: Closure, cap: int = DEFAULT_CANDIDATE_CAP
+) -> list[StateVec]:
+    """All elementary sets of the closure, in lexicographic order: the
+    leaves of one walk that allows every mark.
+
+    Raises StateSpaceLimitError when 3^(number of bases) exceeds `cap`.
+    """
+    check_candidate_cap(closure, cap)
+    family = _pin_free_family(closure)
+    return list(map(family.vecs.__getitem__, family.walk(family._link_bits)))
 
 
 def acceptance_sets(
@@ -348,11 +438,10 @@ def _read_in_full(
     alphabet = tuple(alphabet)
     closure = checked_closure(psi, alphabet, cap)
     family = LazyFamily(closure, [None])
-    leaves = family._walk(family._pins[0])
+    leaves = family.walk(family._link_bits)
     number = dict(zip(leaves, range(len(leaves))))
-    tables = family._tables
-    states = tuple(map(tables.vecs.__getitem__, leaves))
-    keys = list(map(tables.keys.__getitem__, leaves))
+    states = tuple(map(family.vecs.__getitem__, leaves))
+    keys = list(map(family.keys.__getitem__, leaves))
     # One Letter per distinct pattern key, the key bits above the marks.
     shift = family._link_bits.bit_length() + family.all_marks.bit_length()
     pattern_keys = list(map(int.__rshift__, keys, repeat(shift)))
@@ -364,11 +453,11 @@ def _read_in_full(
     # the whole walk: one successor tuple per distinct mask.
     links = list(map(family._link_bits.__and__, keys))
     by_link = {
-        link: tuple(map(number.__getitem__, tables.walk(link))) for link in sorted(set(links))
+        link: tuple(map(number.__getitem__, family.walk(link))) for link in sorted(set(links))
     }
     succ = tuple(map(by_link.__getitem__, links))
     marks = tuple(map(family.marks.__getitem__, leaves))
-    labels = tuple(tables.labels(closure))
+    labels = tuple(family.labels())
     return {
         value: Gnba(
             closure=closure,

@@ -15,7 +15,8 @@ Letter = frozenset  # frozenset[Literal]
 
 
 class UnknownAtomError(ValueError):
-    """An atom falls outside the declared alphabet."""
+    """An atom falls outside the declared alphabet, or an alphabet names
+    something that is no atom name."""
 
 
 class LetterFormatError(ValueError):

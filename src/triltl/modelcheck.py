@@ -10,6 +10,7 @@ single falsifying path settles the matter regardless of the others.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -23,6 +24,11 @@ from .syntax import Formula, atoms_of, is_atom_name
 from .truth import Truth
 
 _VALUE_CODES = {"t": Truth.TRUE, "f": Truth.FALSE, "u": Truth.UNKNOWN}
+
+#: A character no state name may hold: whitespace, which separates the
+#: states of a printed witness, or ";", which separates its stem from
+#: its loop.
+_BAD_STATE_CHAR = re.compile(r"[\s;]")
 
 
 class ModelFormatError(ValueError):
@@ -111,7 +117,7 @@ def parse_model(document: str) -> TransitionModel:
     states: list[str] = []
     known: set[str] = set()
     for name in raw_states:
-        if not isinstance(name, str) or not name or any(c.isspace() for c in name) or ";" in name:
+        if not isinstance(name, str) or not name or _BAD_STATE_CHAR.search(name):
             raise ModelFormatError(f"bad state name {name!r}")
         if name in known:
             raise ModelFormatError(f"duplicate state {name!r}")

@@ -13,12 +13,14 @@ automaton construction, which makes it a usable oracle for it.
 from __future__ import annotations
 
 from .letters import Letter, UnknownAtomError, letter_atoms, make_letter
-from .syntax import And, Atom, Formula, Next, Not, TrueConst, Until, short_repr, subformulas
+from .syntax import And, Atom, Formula, Next, Not, TrueConst, Until, is_atom_name
+from .syntax import short_repr, subformulas
 from .truth import Truth
 
 
 class LassoFormatError(ValueError):
-    """Malformed lasso (empty loop or letters outside the alphabet)."""
+    """Malformed lasso (empty loop, an alphabet name that is no atom
+    name, or letters outside the alphabet)."""
 
 
 class LassoWord:
@@ -34,6 +36,9 @@ class LassoWord:
     ):
         if not loop:
             raise LassoFormatError("lasso loop must not be empty")
+        for name in alphabet:
+            if not is_atom_name(name):
+                raise LassoFormatError(f"alphabet name {name!r} is not an atom name")
         atoms = set(alphabet)
         for letter in (*stem, *loop):
             make_letter(letter)
@@ -87,7 +92,7 @@ def lasso(stem, loop, alphabet) -> LassoWord:
     return LassoWord(tuple(stem), tuple(loop), tuple(alphabet))
 
 
-def _label_tables(
+def _labels_of(
     order: list[Formula], word: LassoWord
 ) -> dict[Formula, tuple[list[bool], list[bool]]]:
     """For each formula in `order`, positionwise (definitely-true,
@@ -150,7 +155,7 @@ def eval_lasso(psi: Formula, word: LassoWord) -> Truth:
         raise UnknownAtomError(
             f"formula atom {sorted(missing)[0]!r} is not in the lasso alphabet"
         )
-    t, f = _label_tables(order, word)[psi]
+    t, f = _labels_of(order, word)[psi]
     if t[0]:
         return Truth.TRUE
     if f[0]:

@@ -40,17 +40,23 @@ from triltl.syntax import Closure, Formula, subformulas
 
 ATOMS = ("a", "b")
 
+
+def formulas_over(atoms) -> st.SearchStrategy:
+    """Core formulas over `atoms` with at most four leaves."""
+    return st.recursive(
+        st.one_of(st.sampled_from([Atom(name) for name in atoms]), st.just(TRUE)),
+        lambda children: st.one_of(
+            st.builds(negated, children),
+            st.builds(Next, children),
+            st.builds(And, children, children),
+            st.builds(Until, children, children),
+        ),
+        max_leaves=4,
+    )
+
+
 #: Formulas over a and b with at most four leaves.
-small_formulas = st.recursive(
-    st.one_of(st.sampled_from([Atom("a"), Atom("b")]), st.just(TRUE)),
-    lambda children: st.one_of(
-        st.builds(negated, children),
-        st.builds(Next, children),
-        st.builds(And, children, children),
-        st.builds(Until, children, children),
-    ),
-    max_leaves=4,
-)
+small_formulas = formulas_over(ATOMS)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +203,26 @@ def naive_acceptance(closure: Closure, states) -> tuple[frozenset[int], ...]:
 # ---------------------------------------------------------------------------
 
 
+def _accepting_cycle_reachable(graph: nx.DiGraph, roots, accepts) -> bool:
+    """Does a cycle reachable from `roots` lie in a strongly connected
+    component for which `accepts(component)` holds?"""
+    reachable = set()
+    for root in roots:
+        if root in graph:
+            reachable.add(root)
+            reachable |= nx.descendants(graph, root)
+    for component in nx.strongly_connected_components(graph):
+        if not component & reachable:
+            continue
+        if len(component) == 1:
+            node = next(iter(component))
+            if not graph.has_edge(node, node):
+                continue
+        if accepts(component):
+            return True
+    return False
+
+
 def gnba_accepts_lasso(g: Gnba, word: LassoWord) -> bool:
     n = word.length
     atoms = set(g.closure.atoms)
@@ -211,22 +237,52 @@ def gnba_accepts_lasso(g: Gnba, word: LassoWord) -> bool:
             j = word.successor(i)
             for q2 in g.succ[q]:
                 graph.add_edge((q, i), (q2, j))
-    reachable = set()
-    for root in roots:
-        if root in graph:
-            reachable.add(root)
-            reachable |= nx.descendants(graph, root)
-    for component in nx.strongly_connected_components(graph):
-        if not component & reachable:
-            continue
-        if len(component) == 1:
-            node = next(iter(component))
-            if not graph.has_edge(node, node):
-                continue
+
+    def accepts(component):
         state_ids = {q for q, _ in component}
-        if all(state_ids & acc for acc in g.acceptance):
-            return True
-    return False
+        return all(state_ids & acc for acc in g.acceptance)
+
+    return _accepting_cycle_reachable(graph, roots, accepts)
+
+
+def pair_product(first: Gnba, second: Gnba) -> tuple[bool, int]:
+    """Do two automata over one closure accept a common word?  Returns
+    the answer and the number of nodes of their pair graph.
+
+    The pair graph is built from the `Gnba` fields alone, from the pairs
+    of initial states.  A node pairs two states with equal patterns; its
+    successors pair their successors with equal patterns; its marks are
+    the first state's marks OR the second state's shifted above them.
+    Emptiness is decided on networkx SCCs, apart from `search.py` and
+    `modelcheck._product`.
+    """
+    shift = first.all_marks.bit_length()
+    full = first.all_marks | second.all_marks << shift
+    roots = [
+        (q1, q2)
+        for q1 in sorted(first.initial)
+        for q2 in sorted(second.initial)
+        if first.patterns[q1] == second.patterns[q2]
+    ]
+    graph = nx.DiGraph()
+    graph.add_nodes_from(roots)
+    todo = list(roots)
+    while todo:
+        node = q1, q2 = todo.pop()
+        for p1 in first.succ[q1]:
+            for p2 in second.succ[q2]:
+                if first.patterns[p1] == second.patterns[p2]:
+                    if (p1, p2) not in graph:
+                        todo.append((p1, p2))
+                    graph.add_edge(node, (p1, p2))
+
+    def accepts(component):
+        marks = 0
+        for q1, q2 in component:
+            marks |= first.marks[q1] | second.marks[q2] << shift
+        return marks == full
+
+    return _accepting_cycle_reachable(graph, roots, accepts), graph.number_of_nodes()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import triltl
-from triltl import MAX_NESTING, Truth, elementary, modelcheck, read_hoa
+from triltl import MAX_NESTING, Truth, gnba, modelcheck, read_hoa
 from triltl.cli import main
 from helpers import model_doc, validate_dot
 
@@ -20,12 +20,12 @@ def run(capsys, *argv):
 
 
 def refuse_enumeration(monkeypatch):
-    """Make `Tables.walk`, the one route into elementary-set enumeration, raise."""
+    """Make `LazyFamily.walk`, the one route into elementary-set enumeration, raise."""
 
     def refuse(*args, **kwargs):
         raise RuntimeError("enumerated before the cap check")
 
-    monkeypatch.setattr(elementary.Tables, "walk", refuse)
+    monkeypatch.setattr(gnba.LazyFamily, "walk", refuse)
 
 
 class TestTranslate:

@@ -16,7 +16,8 @@ from triltl import (
     parse_core,
     state_members,
 )
-from triltl.elementary import ANY, Tables, pack
+from triltl.elementary import ANY, pack
+from triltl.gnba import LazyFamily
 from helpers import CORPUS, naive_elementary, small_formulas, vec_of
 
 A = Atom("a")
@@ -162,8 +163,8 @@ class TestEnumeration:
             for vec in sorted(naive_elementary(c))
             if all(bits >> mark & 1 for bits, mark in zip(allowed, vec))
         ]
-        tables = Tables(c)
-        assert [tables.vecs[leaf] for leaf in tables.walk(pack(allowed))] == expected
+        family = LazyFamily(c, [None])
+        assert [family.vecs[leaf] for leaf in family.walk(pack(allowed))] == expected
         assert enumerate_elementary(c) == sorted(naive_elementary(c))
 
 

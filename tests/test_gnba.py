@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,10 +29,12 @@ from helpers import (
     CORPUS,
     all_letters,
     enumerate_lassos,
+    formulas_over,
     gnba_accepts_lasso,
     naive_acceptance,
     naive_elementary,
     naive_successors,
+    pair_product,
     small_formulas,
     vec_of,
 )
@@ -79,6 +83,11 @@ class TestBuildAutomaton:
     def test_duplicate_alphabet_rejected(self):
         with pytest.raises(ValueError):
             build_automaton(A, ["a", "a"], Truth.TRUE)
+
+    @pytest.mark.parametrize("name", ["true", "false", "B", "a b", ""])
+    def test_alphabet_name_that_is_no_atom_name_rejected(self, name):
+        with pytest.raises(UnknownAtomError, match=f"alphabet name {name!r} is not an atom name"):
+            build_automaton(Atom(name), [name], Truth.TRUE)
 
     def test_state_cap_propagates(self):
         with pytest.raises(StateSpaceLimitError):
@@ -227,17 +236,19 @@ class TestSuccessors:
     def test_calls_over_one_closure_grow_one_trie(self, monkeypatch):
         built = []
 
-        class CountedTables(gnba.Tables):
+        class CountedFamily(gnba.LazyFamily):
             def __init__(self, *args):
                 built.append(args[0])
                 super().__init__(*args)
 
-        monkeypatch.setattr(gnba, "Tables", CountedTables)
+        monkeypatch.setattr(gnba, "LazyFamily", CountedFamily)
         c = closure_of(parse_core("a R (b U a)"))
         states = sorted(naive_elementary(c))
         for vec in states:
             assert tuple(acceptance_sets([vec], c)) == naive_acceptance(c, [vec])
+        assert enumerate_elementary(c) == states
         assert tuple(acceptance_sets(states, c)) == naive_acceptance(c, states)
+        assert enumerate_elementary(c) == states
         assert built == [c]
 
     @pytest.mark.parametrize(
@@ -268,7 +279,7 @@ class TestLazyFamily:
         lazy = LazyFamily(eager.closure, letters)
 
         def as_eager(ids):
-            return [eager_id[lazy._tables.vecs[q]] for q in ids]
+            return [eager_id[lazy.vecs[q]] for q in ids]
 
         def filtered(ids, letter):
             return [q for q in ids if eager.patterns[q] == letter]
@@ -296,7 +307,7 @@ class TestLazyFamily:
         assert eager.all_marks == lazy.all_marks
         # Every state built, a trie leaf, was listed by some root or target.
         n = len(eager.closure.bases)
-        assert seen == {q for q, vec in enumerate(lazy._tables.vecs) if len(vec) == n}
+        assert seen == {q for q, vec in enumerate(lazy.vecs) if len(vec) == n}
 
 
 class TestLazyAgainstEager:
@@ -314,7 +325,7 @@ class TestLazyAgainstEager:
             st.lists(st.sampled_from(all_letters(eager.closure.atoms)), min_size=1, unique=True)
         )
         lazy = LazyFamily(eager.closure, letters)
-        vecs = lazy._tables.vecs
+        vecs = lazy.vecs
 
         def as_eager(ids, letter):
             """The eager ids of `ids`, each checked to have pattern `letter`."""
@@ -455,3 +466,28 @@ class TestLinkageOracle:
             assert [g.states[t] for t in g.succ[q]] == naive_successors(closure, vec, candidates)
         for value in Truth:
             assert family[value].acceptance == naive_acceptance(closure, g.states)
+
+
+class TestDisjointness:
+    """No word is accepted by two automata of one family: the pair graph
+    of every two of them has no accepting cycle."""
+
+    def test_corpus_pairs_are_empty(self):
+        nodes = 0
+        for text in CORPUS:
+            psi = parse_core(text)
+            family = build_family(psi, sorted(atoms_of(psi)))
+            for first, second in combinations(Truth, 2):
+                nonempty, size = pair_product(family[first], family[second])
+                assert not nonempty, (text, first, second)
+                nodes += size
+        # The 111 pair graphs together, so that no product is empty for
+        # want of nodes.
+        assert nodes == 3076
+
+    @settings(max_examples=60, deadline=None)
+    @given(formulas_over(("a", "b", "c")))
+    def test_pairs_are_empty_over_three_atoms(self, psi):
+        family = build_family(psi, sorted(atoms_of(psi)))
+        for first, second in combinations(Truth, 2):
+            assert not pair_product(family[first], family[second])[0]

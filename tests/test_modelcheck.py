@@ -5,12 +5,15 @@ import runpy
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from triltl import (
     DEFAULT_CANDIDATE_CAP,
     ModelFormatError,
     Nba,
+    TransitionModel,
     Truth,
+    UnknownAtomError,
     Verdict,
     atoms_of,
     build_automaton,
@@ -50,6 +53,15 @@ TWO_STATE = parse_model(
         [["s0", "s1"], ["s1", "s1"]],
         {"s0": {"a": "t"}, "s1": {"a": "f"}},
     )
+)
+
+
+#: Characters at the edge of "whitespace": Unicode spaces and separators,
+#: the information separators that str.isspace counts, and two
+#: zero-width characters that it does not.
+_NAME_EDGE_CASES = (
+    " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u202f\u3000"
+    "\u200b\ufeff;s"
 )
 
 
@@ -126,6 +138,19 @@ class TestParseModel:
     def test_wrong_json_shape(self, document, message):
         with pytest.raises(ModelFormatError, match=message):
             parse_model(document)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=8), st.text(_NAME_EDGE_CASES, max_size=4)))
+    def test_state_names_are_refused_as_before(self, name):
+        # The character test parse_model made before it had one pattern.
+        refused = any(c.isspace() for c in name) or ";" in name
+        assert (modelcheck._BAD_STATE_CHAR.search(name) is not None) == refused
+        document = model_doc([name], name, [[name, name]], {})
+        if refused or not name:
+            with pytest.raises(ModelFormatError, match="bad state name"):
+                parse_model(document)
+        else:
+            assert parse_model(document).states == (name,)
 
     def test_duplicate_edges_keep_first_declaration_order(self):
         m = parse_model(
@@ -362,6 +387,12 @@ class TestLazyCheck:
         with pytest.raises(ValueError, match="duplicate"):
             check_model(TWO_STATE, parse_core("G a"), ["a", "a"])
 
+    def test_model_labelled_with_a_constant_keyword_rejected(self):
+        # parse_model refuses the label; a model built by hand does not.
+        model = TransitionModel(("s0",), "s0", (("s0", "s0"),), {"s0": {"true": Truth.FALSE}})
+        with pytest.raises(UnknownAtomError, match="alphabet name 'true' is not an atom name"):
+            check_model(model, parse_core("G a"))
+
 
 POS_A = frozenset({("a", True)})
 NEG_A = frozenset({("a", False)})
@@ -488,18 +519,18 @@ def _leaves(family):
     """The id of each state the family has built: its trie's leaves, in
     the order the trie grew them."""
     n = len(family.closure.bases)
-    return [q for q, vec in enumerate(family._tables.vecs) if len(vec) == n]
+    return [q for q, vec in enumerate(family.vecs) if len(vec) == n]
 
 
 def _vectors(family):
     """The vector of each state the family has built, in id order."""
-    return [family._tables.vecs[q] for q in _leaves(family)]
+    return [family.vecs[q] for q in _leaves(family)]
 
 
 def _by_vector(family, full):
     """Per state vector: its successor vectors through letter `full`, in
     order, and its acceptance marks."""
-    vecs = family._tables.vecs
+    vecs = family.vecs
     return {
         vecs[q]: ([vecs[t] for t in family.targets(q, full)], family.marks[q])
         for q in _leaves(family)

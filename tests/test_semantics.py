@@ -87,6 +87,11 @@ class TestLassoWord:
         with pytest.raises(LassoFormatError):
             lasso([], [frozenset({("c", True)})], ["a", "b"])
 
+    @pytest.mark.parametrize("name", ["true", "false", "B"])
+    def test_alphabet_name_that_is_no_atom_name_rejected(self, name):
+        with pytest.raises(LassoFormatError, match=f"alphabet name {name!r} is not an atom name"):
+            lasso([], [frozenset({(name, False)})], [name])
+
     def test_constructor_validates(self):
         with pytest.raises(LassoFormatError, match="loop must not be empty"):
             LassoWord((POS_A,), (), ("a",))
