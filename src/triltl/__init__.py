@@ -13,25 +13,23 @@ __version__ = "0.1.0"
 
 #: Each module and the names the package exports from it.
 _MODULE_EXPORTS = {
-    "elementary": (
+    "emit": ("HoaAutomaton", "HoaFormatError", "read_hoa", "to_dot", "to_hoa"),
+    "gnba": (
         "ABSENT",
         "DEFAULT_CANDIDATE_CAP",
+        "Gnba",
         "NEG",
+        "Nba",
         "POS",
         "StateSpaceLimitError",
         "StateVec",
-        "format_state",
-        "state_members",
-    ),
-    "emit": ("HoaAutomaton", "HoaFormatError", "read_hoa", "to_dot", "to_hoa"),
-    "gnba": (
-        "Gnba",
-        "Nba",
         "acceptance_sets",
         "build_automaton",
         "build_family",
         "degeneralize",
         "enumerate_elementary",
+        "format_state",
+        "state_members",
         "state_pattern",
     ),
     "letters": (

@@ -47,7 +47,7 @@ def _parse_alphabet(text: str) -> tuple[str, ...]:
 def _state_cap(cap: Optional[int]) -> int:
     """The --state-cap value, or the library's default when it is not given."""
     if cap is None:
-        from .elementary import DEFAULT_CANDIDATE_CAP
+        from .gnba import DEFAULT_CANDIDATE_CAP
 
         return DEFAULT_CANDIDATE_CAP
     if cap < 1:
@@ -192,7 +192,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:
-        from .elementary import StateSpaceLimitError
+        from .gnba import StateSpaceLimitError
 
         if not isinstance(exc, StateSpaceLimitError):
             raise

@@ -1,15 +1,25 @@
 """Construction of the three-valued Buchi automaton for a core formula.
 
-For a formula and a truth value, the generalized automaton's states are
-the elementary sets of the formula's closure; the chosen truth value
-selects the initial states and nothing else.  Transitions are guarded
-by the state's own literal pattern: a state can only read letters that
-agree with it on the atoms the closure mentions, while atoms outside
-the closure are unconstrained.
+A candidate state assigns each closure base one of three marks: absent,
+present positively, or present negatively (so a formula and its
+negation can never both be present).  A candidate is an elementary set
+when it is propositionally consistent and locally consistent with
+respect to until.  For a formula and a truth value, the generalized
+automaton's states are the elementary sets of the formula's closure;
+the chosen truth value selects the initial states and nothing else.
+Transitions are guarded by the state's own literal pattern: a state
+can only read letters that agree with it on the atoms the closure
+mentions, while atoms outside the closure are unconstrained.
 
-One engine, `LazyFamily`, builds states and successor lists when they
-are asked for: `check_model` reads it letter by letter, and
-`build_family` and `build_automaton` read it in full.
+Four rules, over the marks of a base and of its operands, define the
+automaton: the local rules of conjunction and until say which
+candidates are elementary, and the until linkage and fulfilment rules
+say which states may follow a state and which states accept.  They are
+compiled once into the levels of a prefix trie of elementary sets
+(`_levels`).  One engine, `LazyFamily`, grows that trie and builds
+states and successor lists when they are asked for: `check_model`
+reads it letter by letter, and `build_family` and `build_automaton`
+read it in full.
 """
 
 from __future__ import annotations
@@ -19,23 +29,75 @@ from functools import cache, cached_property
 from itertools import accumulate, compress, product, repeat
 from typing import Optional, Sequence
 
-from .elementary import (
-    ABSENT,
-    ANY,
-    DEFAULT_CANDIDATE_CAP,
-    MARKS,
-    NEG,
-    POS,
-    StateVec,
-    check_candidate_cap,
-    level_layouts,
-    pack,
-    signed,
-    slot,
-)
 from .letters import Letter, UnknownAtomError
-from .syntax import Closure, Formula, atoms_of, closure_of, is_atom_name
+from .syntax import Closure, Formula, atoms_of, closure_of, is_atom_name, negated
 from .truth import Truth
+
+ABSENT = 0
+POS = 1
+NEG = 2
+MARKS = (ABSENT, POS, NEG)
+#: Bit set of marks a coordinate may take, bit m for mark m: every mark.
+ANY = 0b111
+
+#: Assignment vector, one mark per closure base, in base order.
+StateVec = tuple[int, ...]
+
+#: Guard against enumerating 3^n candidates for large closures.
+DEFAULT_CANDIDATE_CAP = 3**15
+
+
+class StateSpaceLimitError(RuntimeError):
+    """Raised when the candidate state space exceeds the configured cap."""
+
+
+def signed(mark: int, positive: bool) -> int:
+    """The mark of a referenced formula, given the mark of its base: a
+    negative reference swaps present-positively and present-negatively."""
+    return mark if positive or mark == ABSENT else POS + NEG - mark
+
+
+def pack(allowed: Sequence[int]) -> int:
+    """Per-coordinate mark bit sets as one int, 3 bits per coordinate,
+    coordinate 0 highest: of n coordinates, coordinate i's bit set is
+    at `slot(n, i)`.  So packed masks compare as their bit sets do,
+    from coordinate 0 on."""
+    packed = 0
+    for bits in allowed:
+        packed = packed << 3 | bits
+    return packed
+
+
+def slot(n: int, i: int) -> int:
+    """The shift of coordinate i's bit set in a mask of n coordinates
+    packed by `pack`."""
+    return 3 * (n - 1 - i)
+
+
+def state_members(vec: Sequence[int], closure: Closure) -> tuple[Formula, ...]:
+    """The formulas present in the set, in base order."""
+    out = []
+    for value, base in zip(vec, closure.bases):
+        if value == POS:
+            out.append(base)
+        elif value == NEG:
+            out.append(negated(base))
+    return tuple(out)
+
+
+def format_state(vec: Sequence[int], closure: Closure) -> str:
+    """Human-readable set notation, with a dedicated empty-set symbol.
+
+    Members appear in base order, as `format_formula` renders them.
+    """
+    texts = [
+        pos if value == POS else neg
+        for value, pos, neg in zip(vec, closure.base_texts, closure.negated_texts)
+        if value != ABSENT
+    ]
+    if not texts:
+        return "∅"
+    return "{" + ", ".join(texts) + "}"
 
 
 def state_pattern(vec: Sequence[int], closure: Closure) -> Letter:
@@ -45,8 +107,26 @@ def state_pattern(vec: Sequence[int], closure: Closure) -> Letter:
     )
 
 
-# The linkage and acceptance rules, over the marks of an until base u
-# and of its operands as referenced.  The key table below is read from them.
+# The four rules, over the marks of a base and of its operands as
+# referenced.  The levels of the trie are compiled from them.
+
+
+def _and_holds(c: int, l: int, r: int) -> bool:
+    """c = l & r is present positively iff both operands are, and
+    negatively iff some operand is present negatively."""
+    return (c == POS) == (l == POS and r == POS) and (c == NEG) == (NEG in (l, r))
+
+
+def _until_holds(u: int, l: int, r: int) -> bool:
+    """For u = l U r: r present forces u present; u present negatively
+    forces r present negatively; u present without r forces l present;
+    and l, r both present negatively force u present negatively."""
+    return (
+        (r != POS or u == POS)
+        and (u != NEG or r == NEG)
+        and (u != POS or r == POS or l == POS)
+        and (l != NEG or r != NEG or u == NEG)
+    )
 
 
 def _until_links(u: int, l: int, r: int, x: int) -> bool:
@@ -64,11 +144,43 @@ def _fulfils(u: int, r: int) -> bool:
     return (u != POS or r == POS) and (r != NEG or u == NEG)
 
 
+def _layout(choices: tuple[tuple[int, ...], ...]) -> tuple:
+    """How a node expands, per operand-mark index ix, by the marks of
+    `choices[ix]`: per bit set of marks (0 to `ANY`), the offsets from
+    the node's first child of the children whose mark is in the set;
+    the one-mark suffixes of the children's vectors; and the index
+    3 * ix + m of each child's key constant."""
+    select = tuple(
+        tuple(tuple(j for j, m in enumerate(marks) if bits >> m & 1) for marks in choices)
+        for bits in range(ANY + 1)
+    )
+    suffixes = tuple(tuple((m,) for m in marks) for marks in choices)
+    slots = tuple(tuple(3 * ix + m for m in marks) for ix, marks in enumerate(choices))
+    return select, suffixes, slots
+
+
+#: The layouts of a base without operands, and of the constant true.
+_FREE = _layout((MARKS,))
+_TRUE = _layout(((POS,),))
+
+
+@cache
+def _operand_layout(rule, lpos: bool, rpos: bool) -> tuple:
+    """The `_layout` of the marks `rule` lets a base take, indexed by
+    3 * (left operand's base mark) + (right operand's)."""
+    return _layout(
+        tuple(
+            tuple(m for m in MARKS if rule(m, signed(l, lpos), signed(r, rpos)))
+            for l, r in product(MARKS, repeat=2)
+        )
+    )
+
+
 @cache
 def _until_key_table(lpos: bool, rpos: bool) -> tuple[int, ...]:
-    """Per index 3 * (3 * l + r) + u of an until level's key constants
-    (see `_levels`), the bit set `_until_links` allows the
-    successor's u, plus 8 if `_fulfils` holds."""
+    """Per index 3 * (3 * l + r) + u of an until level's key constants,
+    the bit set `_until_links` allows the successor's u, plus 8 if
+    `_fulfils` holds."""
     return tuple(
         sum(1 << x for x in MARKS if _until_links(u, signed(l, lpos), signed(r, rpos), x))
         + 8 * _fulfils(u, signed(r, rpos))
@@ -81,39 +193,50 @@ _KEEP = (-1,) * 27
 
 
 def _levels(closure: Closure) -> tuple[list[tuple], int]:
-    """The levels of a `LazyFamily` trie, per base the `level_layouts`
-    entry and the key constants, and the root key.  A leaf's key holds,
-    in one int, a state's linkage mask, acceptance mask and pattern.
+    """The levels of a `LazyFamily` trie, one per base, and the root key.
 
-    The low 3n bits of a leaf's key are the marks the linkage lets a
+    Level i is the record (l, r, select, suffixes, slots, keys): l and r
+    are the coordinates of base i's operands (None for a base without
+    operands); select, suffixes and slots are the `_layout` of the marks
+    the local rule of base i allows, per operand-mark index
+    ix = 3 * (left operand's mark) + (right's), or ix = 0 for a base
+    without operands; and a child's key is its parent's AND-ed with
+    `keys[3 * ix + m]`, for its own mark m.
+
+    A leaf's key holds, in one int, a state's linkage mask, acceptance
+    mask and pattern.  The low 3n bits are the marks the linkage lets a
     successor give each coordinate, packed as by `pack`; the next bits
     its acceptance mask, bit k for set k of `acceptance_sets`; and 3
     bits per atom coordinate above them the atom's mark as one bit.
     Each part is read once per (level, mark, operand marks) instead of
     once per state: an `X` base sets its operand's successor marks, an
     until base its own successor marks and its acceptance bit, and an
-    atom its pattern bits.  A child's key is its parent's AND-ed with
-    the constant at index 3 * ix + m of its level, for its own mark m
-    and operand-mark index ix.
+    atom its pattern bits.
     """
     n = len(closure.bases)
     pattern_at = 3 * n + len(closure.untils) + 1
     root = (1 << pattern_at + 3 * len(closure.atom_coords)) - 1
-    consts: list[Sequence[int]] = [_KEEP] * n
+    levels = [(None, None, *_FREE, _KEEP)] * n
+    if closure.true_index is not None:
+        levels[closure.true_index] = (None, None, *_TRUE, _KEEP)
     for i, (j, positive) in closure.nexts:
         at = slot(n, j)
-        consts[i] = [root ^ ANY << at | 1 << signed(m, positive) << at for m in MARKS]
+        keys = [root ^ ANY << at | 1 << signed(m, positive) << at for m in MARKS]
+        levels[i] = (None, None, *_FREE, keys)
     for a, (i, _name) in enumerate(closure.atom_coords):
         at = pattern_at + 3 * a
-        consts[i] = [root ^ ANY << at | 1 << m << at for m in MARKS]
-    for k, (i, (_l, lpos), (_r, rpos)) in enumerate(closure.untils):
+        levels[i] = (None, None, *_FREE, [root ^ ANY << at | 1 << m << at for m in MARKS])
+    for i, (l, lpos), (r, rpos) in closure.conjunctions:
+        levels[i] = (l, r, *_operand_layout(_and_holds, lpos, rpos), _KEEP)
+    for k, (i, (l, lpos), (r, rpos)) in enumerate(closure.untils):
         at = slot(n, i)
         fulfilled = 1 << 3 * n + k
         # The constant for each entry of `_until_key_table`.
         made = [root ^ (ANY ^ b) << at ^ fulfilled for b in range(ANY + 1)]
         made += [keep | fulfilled for keep in made]
-        consts[i] = list(map(made.__getitem__, _until_key_table(lpos, rpos)))
-    return [(*layout, keys) for layout, keys in zip(level_layouts(closure), consts)], root
+        keys = list(map(made.__getitem__, _until_key_table(lpos, rpos)))
+        levels[i] = (l, r, *_operand_layout(_until_holds, lpos, rpos), keys)
+    return levels, root
 
 
 class PatternIndex:
@@ -210,6 +333,16 @@ def _initial_mark(closure: Closure, value: Truth) -> tuple[int, int]:
     return idx, signed(_INITIAL_MARKS[value], positive)
 
 
+def check_candidate_cap(closure: Closure, cap: int) -> None:
+    """Raise StateSpaceLimitError when 3^(number of bases) exceeds `cap`."""
+    candidates = 3 ** len(closure.bases)
+    if candidates > cap:
+        raise StateSpaceLimitError(
+            f"state-space limit exceeded: 3^{len(closure.bases)} = {candidates} "
+            f"candidate sets, cap is {cap}"
+        )
+
+
 def checked_closure(psi: Formula, alphabet: tuple[str, ...], cap: int) -> Closure:
     """The closure of `psi`, after the checks every construction makes
     before it enumerates a state.
@@ -251,7 +384,7 @@ class LazyFamily:
     elementary sets, grown on demand, and a state's id is its leaf's
     node id.  Node 0 is the empty prefix.  A node at depth i is a
     consistent assignment to bases 0..i-1; its children extend it by
-    each mark the local rule of base i allows (`level_layouts`).  A node
+    each mark the local rule of base i allows (`_levels`).  A node
     is expanded once, the first time a walk reaches it: its children get
     consecutive ids in mark order.  `vecs[node]` is the node's
     assignment vector and `keys[node]` its key, the parent's key AND-ed
@@ -294,7 +427,7 @@ class LazyFamily:
 
     def _expand(self, depth: int, nodes: list[int]) -> None:
         """Expand the nodes of `nodes` (all at `depth`) not expanded yet."""
-        l, r, _, _, suffixes, slots, consts = self._levels[depth]
+        l, r, _, suffixes, slots, consts = self._levels[depth]
         vecs, keys, kids = self.vecs, self.keys, self._kids
         todo = [node for node in nodes if node not in kids]
         parents = list(map(vecs.__getitem__, todo))
@@ -341,7 +474,7 @@ class LazyFamily:
         for depth in range(depth, n):
             if not all(map(kids.__contains__, nodes)):
                 self._expand(depth, nodes)
-            select = levels[depth][3][mask >> 3 * (n - 1 - depth) & ANY]
+            select = levels[depth][2][mask >> 3 * (n - 1 - depth) & ANY]
             nodes = [b + j for b, ix in map(kids.__getitem__, nodes) for j in select[ix]]
             frontiers[depth + 1] = nodes
             if not nodes:
@@ -366,9 +499,9 @@ class LazyFamily:
         it."""
         nodes, texts, kids = [0], [""], self._kids
         levels = zip(self._levels, self.closure.base_texts, self.closure.negated_texts)
-        for (_, _, choices, select, *_), pos, neg in levels:
+        for (_, _, select, suffixes, *_), pos, neg in levels:
             member = ("", ", " + pos, ", " + neg)
-            pieces = [[member[m] for m in marks] for marks in choices]
+            pieces = [[member[m] for (m,) in row] for row in suffixes]
             children = list(map(kids.__getitem__, nodes))
             texts = [text + piece for text, (_, ix) in zip(texts, children) for piece in pieces[ix]]
             nodes = [b + j for b, ix in children for j in select[ANY][ix]]

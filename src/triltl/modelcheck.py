@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .elementary import DEFAULT_CANDIDATE_CAP
-from .gnba import Gnba, LazyFamily, Nba, PatternIndex, checked_closure
+from .gnba import DEFAULT_CANDIDATE_CAP, Gnba, LazyFamily, Nba, PatternIndex, checked_closure
 from .letters import Letter, restrict_letter
 from .search import accepting_cycle_reachable, first_accepting_lasso
 from .semantics import LassoWord, eval_lasso, lasso

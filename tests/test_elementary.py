@@ -16,8 +16,7 @@ from triltl import (
     parse_core,
     state_members,
 )
-from triltl.elementary import ANY, pack
-from triltl.gnba import LazyFamily
+from triltl.gnba import ANY, LazyFamily, pack
 from helpers import CORPUS, naive_elementary, small_formulas, vec_of
 
 A = Atom("a")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import runpy
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -34,9 +35,11 @@ from triltl.modelcheck import induced_word
 from helpers import (
     CORPUS,
     enumerate_lassos,
+    formulas_over,
     gnba_accepts_lasso,
     model_doc,
     reference_product_nonempty,
+    shift,
 )
 
 
@@ -198,13 +201,13 @@ class TestProductNonEmpty:
         assert product_nonempty(m, nba) is None
 
 
-def _random_model(seed, size):
+def _random_model(seed, size, atoms="ab"):
     rng = random.Random(seed)
     states = [f"s{i}" for i in range(size)]
     edges = [[s, rng.choice(states)] for s in states]
     edges += [[rng.choice(states), rng.choice(states)] for _ in range(size)]
     labels = {
-        s: {atom: rng.choice("tfu") for atom in "ab" if rng.random() < 0.8}
+        s: {atom: rng.choice("tfu") for atom in atoms if rng.random() < 0.8}
         for s in states
     }
     return parse_model(model_doc(states, "s0", edges, labels))
@@ -626,3 +629,66 @@ class TestSmallModelCrossCheck:
                 assert verdict.value is not Truth.TRUE
             if verdict.value is Truth.TRUE:
                 assert observed <= {Truth.TRUE}
+
+
+def _lasso_model(seed, atoms):
+    """A seeded model with one path: a stem of 0-2 states into a loop of
+    1-3, each state giving each atom t, f or u.  Returned with the word
+    that path induces over `atoms`."""
+    rng = random.Random(seed)
+    stem, loop = rng.randint(0, 2), rng.randint(1, 3)
+    states = [f"s{i}" for i in range(stem + loop)]
+    edges = [[s, t] for s, t in zip(states, states[1:])] + [[states[-1], states[stem]]]
+    labels = {s: {atom: rng.choice("tfu") for atom in atoms} for s in states}
+    model = parse_model(model_doc(states, "s0", edges, labels))
+    return model, induced_word(model, (states[:stem], states[stem:]), atoms)
+
+
+def _accepting_values(model, family):
+    """Per model state, the truth values whose automaton has a non-empty
+    product with the model re-rooted at that state."""
+    return [
+        {
+            value
+            for value, g in family.items()
+            if product_nonempty(replace(model, initial=s), g) is not None
+        }
+        for s in model.states
+    ]
+
+
+class TestConsistencyOnModels:
+    """Every path has exactly one three-valued value.  So from every
+    state of a model some automaton of a family has a non-empty product,
+    and from a state with one path exactly the automaton of that path's
+    value (`eval_lasso` on the induced word) has."""
+
+    def check(self, psi, alphabet, models, lasso_models):
+        """Check both claims; return how many automata accepted from
+        each state of `models`."""
+        family = build_family(psi, alphabet)
+        counts = set()
+        for model in models:
+            for values in _accepting_values(model, family):
+                assert values, (psi, model)
+                counts.add(len(values))
+        for model, word in lasso_models:
+            for values in _accepting_values(model, family):
+                assert values == {eval_lasso(psi, word)}, (psi, model)
+                word = shift(word)
+        return counts
+
+    def test_corpus(self):
+        models = [_random_model(4, 5), _random_model(5, 7)]
+        lassos = [_lasso_model(seed, "ab") for seed in range(6)]
+        counts = set()
+        for text in CORPUS:
+            counts |= self.check(parse_core(text), ("a", "b"), models, lassos)
+        # Some states have paths of two and of three values.
+        assert counts == {1, 2, 3}
+
+    @settings(max_examples=40, deadline=None)
+    @given(formulas_over(("a", "b", "c")), st.integers(0, 2**32))
+    def test_formulas_over_three_atoms(self, psi, seed):
+        model = _random_model(seed, 4, "abc")
+        self.check(psi, ("a", "b", "c"), [model], [_lasso_model(seed, "abc")])

@@ -35,7 +35,6 @@ EXPORTED = sorted(
 )
 
 AUTOMATON_MODULES = (
-    "triltl.elementary",
     "triltl.gnba",
     "triltl.emit",
     "triltl.search",
@@ -110,6 +109,17 @@ class TestExports:
         assert out.startswith("HOA: v1\n")
 
 
+#: The modules that both `translate` and `check` load to build automata.
+CONSTRUCTION = (
+    "triltl",
+    "triltl.cli",
+    "triltl.syntax",
+    "triltl.letters",
+    "triltl.truth",
+    "triltl.gnba",
+)
+
+
 def modules_after_cli(*argv):
     """The triltl modules (and `dataclasses`) loaded by a fresh process
     after it ran the CLI with `argv`."""
@@ -145,8 +155,22 @@ class TestModulesPerSpawn:
             "translate", "--formula", "a U b", "--alphabet", "a,b",
             "--value", "top", "--out-hoa", str(tmp_path / "out.hoa"),
         )
-        assert "triltl.gnba" in loaded and "triltl.emit" in loaded
-        assert not loaded & {"triltl.modelcheck", "triltl.search"}
+        assert loaded == {"dataclasses", *CONSTRUCTION, "triltl.emit"}
+
+    def test_check_loads_no_emitter(self, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(
+            '{"states": ["s"], "initial": "s", "edges": [["s", "s"]],'
+            ' "labels": {"s": {"a": "f"}}}'
+        )
+        loaded = modules_after_cli("check", "--model", str(model), "--formula", "G a")
+        assert loaded == {
+            "dataclasses",
+            *CONSTRUCTION,
+            "triltl.semantics",
+            "triltl.search",
+            "triltl.modelcheck",
+        }
 
     def test_semantics_alone_loads_no_automaton_code(self):
         out = run_python(
@@ -218,3 +242,25 @@ def test_formula_modules_do_not_recurse(module):
     no function of the library may call itself."""
     path = ROOT / "src" / "triltl" / f"{module}.py"
     assert functions_on_call_cycles(path) == []
+
+
+def test_library_imports_only_the_standard_library():
+    """The standard library is the library's only runtime dependency:
+    every absolute import of a module under src/triltl names a standard
+    module (relative imports stay inside the package)."""
+    imported, outside = set(), set()
+    for path in sorted((ROOT / "src" / "triltl").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.add(name)
+                top = name.split(".")[0]
+                if top != "__future__" and top not in sys.stdlib_module_names:
+                    outside.add((path.name, name))
+    assert {"dataclasses", "functools"} <= imported
+    assert outside == set()

@@ -1,5 +1,5 @@
-"""tools/pairs.py on a stubbed runner: pair order, quartiles, wins and the
-claim rule, without starting the benchmark."""
+"""tools/pairs.py on a stubbed runner: pair order, quartiles, wins, the
+claim rule and the no-regression rule, without starting the benchmark."""
 
 import importlib.util
 import json
@@ -29,7 +29,8 @@ class Stub:
         return self.runs[side].pop(0)
 
 
-HIGHER = {"ops_per_s": True, "latency_ms_p50": False}
+#: Metric name -> (higher is better, bound), as `pairs.rules` reads them.
+HIGHER = {"ops_per_s": (True, 0.25), "latency_ms_p50": (False, 0.25)}
 
 
 def test_sides_alternate_which_runs_first():
@@ -76,15 +77,15 @@ def test_directions_come_from_the_benchmark_file(tmp_path):
         json.dumps(
             {
                 "end_to_end": [
-                    {"name": "ops_per_s", "better": "higher"},
-                    {"name": "peak_rss_mb", "better": "lower"},
+                    {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+                    {"name": "peak_rss_mb", "better": "lower", "bound": 0.15},
                 ]
             }
         )
     )
-    assert pairs.directions(tmp_path) == {"ops_per_s": True, "peak_rss_mb": False}
+    assert pairs.rules(tmp_path) == {"ops_per_s": (True, 0.25), "peak_rss_mb": (False, 0.15)}
     with pytest.raises(FileNotFoundError):
-        pairs.directions(tmp_path / "missing")
+        pairs.rules(tmp_path / "missing")
 
 
 def test_report_lists_every_metric_and_the_failures():
@@ -94,3 +95,37 @@ def test_report_lists_every_metric_and_the_failures():
     text = pairs.report(pairs.summarize(results, HIGHER), results)
     assert "ops_per_s" in text and "latency_ms_p50" in text
     assert "base: failed ops per run [0]" in text
+    assert "regression" in text.splitlines()[0]
+
+
+def regression(base, change, up=True, bound=0.25):
+    """The no-regression verdict of one metric over stubbed pairs."""
+    results = pairs.run_pairs(
+        Stub([result(m=v) for v in base], [result(m=v) for v in change]), len(base)
+    )
+    return pairs.summarize(results, {"m": (up, bound)})[0]["regression"]
+
+
+def test_median_worse_by_more_than_the_bound_is_regressed():
+    # Throughput median 100 -> 70: 30 % worse, past the 25 % bound.
+    assert regression([98, 100, 102] * 3 + [100], [68, 70, 72] * 3 + [70]) == "regressed"
+    # Latency median 10 -> 13 ms is worse by 30 % too; lower is better.
+    assert regression([10] * 10, [13] * 10, up=False) == "regressed"
+    # 20 % worse is inside the bound, and the base's spread is narrow.
+    assert regression([100] * 10, [80] * 10) == "ok"
+
+
+def test_wide_base_spread_is_unresolved():
+    # Base IQR 50 exceeds 0.25 x median 100; medians equal, runs overlap.
+    base = [50, 150] * 5
+    assert regression(base, base) == "unresolved"
+    # Change runs that all beat every base run resolve it.
+    assert regression(base, [200] * 10) == "ok"
+    assert regression([100] * 10, [100] * 10) == "ok"
+
+
+def test_narrow_base_spread_and_small_change_is_ok():
+    base = [96, 98, 100, 102, 104] * 2
+    change = [93, 95, 97, 99, 101] * 2
+    assert regression(base, change) == "ok"
+    assert regression(base, change, up=False) == "ok"

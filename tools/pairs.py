@@ -7,11 +7,20 @@ Runs `bench/run.py` of each checkout, from that checkout's root, once per
 side for each pair, alternating which side runs first.  For every
 end-to-end metric it prints each side's median and quartiles, how many
 pairs the change won (ties count for neither side), and the base's
-interquartile range.  A metric shows a gain when the change won at least
-nine tenths of the pairs and the medians differ, in the better
-direction, by more than the base's interquartile range.  Metric names and
-directions come from the base checkout's `BENCHMARK.json`.  Only the
-standard library is used; nothing under `bench/` is changed.
+interquartile range.  It applies two rules:
+
+- the gain rule: a metric shows a gain when the change won at least
+  nine tenths of the pairs and the medians differ, in the better
+  direction, by more than the base's interquartile range;
+- the no-regression rule: a metric is `regressed` when the change's
+  median is worse than the base's by more than the metric's bound times
+  the base median, `unresolved` when it is not regressed but the base's
+  interquartile range exceeds that same margin and not every change run
+  beats every base run, and `ok` otherwise.
+
+Metric names, directions and bounds come from the base checkout's
+`BENCHMARK.json`.  Only the standard library is used; nothing under
+`bench/` is changed.
 """
 
 from __future__ import annotations
@@ -28,11 +37,11 @@ from typing import Callable, Optional
 Runner = Callable[[str, int], dict]
 
 
-def directions(base: Path) -> dict[str, bool]:
-    """Metric name -> True when higher is better, from the base
-    checkout's `BENCHMARK.json` (which must exist)."""
+def rules(base: Path) -> dict[str, tuple[bool, float]]:
+    """Metric name -> (True when higher is better, its bound), from the
+    base checkout's `BENCHMARK.json` (which must exist)."""
     spec = json.loads((base / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
+    return {m["name"]: (m["better"] == "higher", m["bound"]) for m in spec["end_to_end"]}
 
 
 def bench_runner(roots: dict[str, Path], args: list[str]) -> Runner:
@@ -71,17 +80,28 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(results: dict[str, list[dict]], higher: dict[str, bool]) -> list[dict]:
+def summarize(
+    results: dict[str, list[dict]], metrics: dict[str, tuple[bool, float]]
+) -> list[dict]:
     """Per metric: both sides' quartiles, the change's pair wins, the
-    base's interquartile range and whether the claim rule holds."""
+    base's interquartile range, whether the claim rule holds and the
+    no-regression verdict."""
     rows = []
-    for name, up in higher.items():
+    for name, (up, bound) in metrics.items():
         base = [run["metrics"][name]["value"] for run in results["base"]]
         change = [run["metrics"][name]["value"] for run in results["change"]]
         wins = sum((c > b) if up else (c < b) for b, c in zip(base, change))
         bq1, bmed, bq3 = quartiles(base)
         cq1, cmed, cq3 = quartiles(change)
         gap = (cmed - bmed) if up else (bmed - cmed)
+        margin = bound * abs(bmed)
+        dominates = min(change) > max(base) if up else max(change) < min(base)
+        if -gap > margin:
+            regression = "regressed"
+        elif bq3 - bq1 > margin and not dominates:
+            regression = "unresolved"
+        else:
+            regression = "ok"
         rows.append(
             {
                 "metric": name,
@@ -92,6 +112,7 @@ def summarize(results: dict[str, list[dict]], higher: dict[str, bool]) -> list[d
                 "pairs": len(base),
                 "base_iqr": bq3 - bq1,
                 "gain": wins >= 0.9 * len(base) and gap > bq3 - bq1,
+                "regression": regression,
             }
         )
     return rows
@@ -101,7 +122,7 @@ def report(rows: list[dict], results: dict[str, list[dict]]) -> str:
     """The summary as a readable table, plus failed-op counts per side."""
     lines = [
         f"{'metric':<16} {'better':<6} {'base median [q1, q3]':<30} "
-        f"{'change median [q1, q3]':<30} {'wins':>6} {'base IQR':>10}  gain"
+        f"{'change median [q1, q3]':<30} {'wins':>6} {'base IQR':>10}  gain  regression"
     ]
     for row in rows:
         bq1, bmed, bq3 = row["base"]
@@ -111,7 +132,7 @@ def report(rows: list[dict], results: dict[str, list[dict]]) -> str:
             f"{f'{bmed:.4g} [{bq1:.4g}, {bq3:.4g}]':<30} "
             f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':<30} "
             f"{row['wins']:>3}/{row['pairs']:<2} {row['base_iqr']:>10.4g}  "
-            f"{'yes' if row['gain'] else 'no'}"
+            f"{'yes' if row['gain'] else 'no':<4}  {row['regression']}"
         )
     for side, runs in results.items():
         failed = [run.get("failed", 0) for run in runs]
@@ -134,7 +155,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     ]
     runner = bench_runner({"base": args.base, "change": args.change}, bench_args)
     results = run_pairs(runner, args.pairs)
-    rows = summarize(results, directions(args.base))
+    rows = summarize(results, rules(args.base))
     print(report(rows, results))
     return 0
 
