@@ -62,27 +62,19 @@ _MODULE_EXPORTS = {
         "And",
         "Atom",
         "Closure",
-        "FalseConst",
-        "Finally",
         "Formula",
         "FormulaSyntaxError",
-        "Globally",
-        "Implies",
         "MAX_NESTING",
         "Next",
         "Not",
-        "Or",
-        "Release",
         "TrueConst",
         "TRUE",
         "Until",
         "atoms_of",
         "closure_of",
-        "desugar",
         "format_formula",
         "formula_size",
         "negated",
-        "parse",
         "parse_core",
     ),
     "truth": ("Truth", "parse_truth"),

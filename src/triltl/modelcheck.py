@@ -62,9 +62,6 @@ class TransitionModel:
             out[position[src]].append(position[dst])
         return tuple(map(tuple, out))
 
-    def label(self, state: str, atom: str) -> Truth:
-        return self.labels.get(state, {}).get(atom, Truth.UNKNOWN)
-
     def label_atoms(self) -> frozenset[str]:
         names: set[str] = set()
         for per_state in self.labels.values():

@@ -1,16 +1,16 @@
-"""LTL surface syntax, desugaring to the core grammar, and closures.
+"""LTL formulas: the parser, the core grammar, and closures.
 
-The surface grammar knows atoms, true, false, !, &, |, ->, X, U, R, F
-and G.  Desugaring rewrites every formula into the core connectives
-{atom, true, !, &, X, U} and eliminates double negations, so a core
-formula is canonical: no node is a negation of a negation.
+Formula text knows atoms, true, false, !, &, |, ->, X, U, R, F and G.
+The parser rewrites each operator into the core connectives {atom,
+true, !, &, X, U} as it reads it and eliminates double negations, so
+a formula is canonical: no node is a negation of a negation.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 
 class FormulaSyntaxError(ValueError):
@@ -145,23 +145,11 @@ class TrueConst(Formula):
     __slots__ = ()
 
 
-class FalseConst(Formula):
-    __slots__ = ()
-
-
 class Not(_Unary):
     __slots__ = ()
 
 
 class And(_Binary):
-    __slots__ = ()
-
-
-class Or(_Binary):
-    __slots__ = ()
-
-
-class Implies(_Binary):
     __slots__ = ()
 
 
@@ -173,22 +161,18 @@ class Until(_Binary):
     __slots__ = ()
 
 
-class Release(_Binary):
-    __slots__ = ()
-
-
-class Finally(_Unary):
-    __slots__ = ()
-
-
-class Globally(_Unary):
-    __slots__ = ()
-
-
 TRUE = TrueConst()
 
-#: Core connectives; everything else is surface sugar.
+#: The connectives of a core formula.
 CORE_KINDS = (Atom, TrueConst, Not, And, Next, Until)
+
+
+def negated(f: Formula) -> Formula:
+    """Canonical negation: strips a leading negation instead of stacking."""
+    if isinstance(f, Not):
+        return f.child
+    return Not(f)
+
 
 ATOM_NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 
@@ -236,23 +220,26 @@ def _lex(text: str) -> Iterator[tuple[str, int]]:
 #: an input policy.
 MAX_NESTING = 100
 
-#: Binary operator token -> (precedence, right-associative, node class);
-#: a higher precedence binds tighter.
-_BINARY: dict[str, tuple[int, bool, type]] = {
-    "->": (1, True, Implies),
-    "|": (2, False, Or),
+#: Binary operator token -> (precedence, right-associative, rule); a
+#: higher precedence binds tighter.  A rule builds the core formula of
+#: an operator from the core formulas of its operands.
+_BINARY: dict[str, tuple[int, bool, Callable[[Formula, Formula], Formula]]] = {
+    "->": (1, True, lambda l, r: negated(And(l, negated(r)))),
+    "|": (2, False, lambda l, r: negated(And(negated(l), negated(r)))),
     "&": (3, False, And),
     "U": (4, True, Until),
-    "R": (4, True, Release),
+    "R": (4, True, lambda l, r: negated(Until(negated(l), negated(r)))),
 }
-#: The same for the tokens that open a level before an operand.  Prefix
-#: operators bind tighter than every binary one; an open parenthesis is
-#: reduced by nothing but its ")".
-_OPENING: dict[str, tuple[int, bool, Optional[type]]] = {
-    "!": (5, True, Not),
-    "X": (5, True, Next),
-    "F": (5, True, Finally),
-    "G": (5, True, Globally),
+#: Precedence of the prefix operators, which bind tighter than every
+#: binary one.
+_PREFIX = 5
+#: The same for the tokens that open a level before an operand.  An open
+#: parenthesis is reduced by nothing but its ")".
+_OPENING: dict[str, tuple[int, bool, Optional[Callable[[Formula], Formula]]]] = {
+    "!": (_PREFIX, True, negated),
+    "X": (_PREFIX, True, Next),
+    "F": (_PREFIX, True, lambda c: Until(TRUE, c)),
+    "G": (_PREFIX, True, lambda c: negated(Until(TRUE, negated(c)))),
     "(": (0, True, None),
 }
 #: What any other token after an operand does: it reduces every open
@@ -271,27 +258,31 @@ def _expected(what: str, word: str, pos: int) -> FormulaSyntaxError:
     return FormulaSyntaxError(f"expected {what}, found {shown}", pos)
 
 
-def parse(text: str) -> Formula:
-    """Parse surface LTL text into a formula tree.
+def parse_core(text: str) -> Formula:
+    """Parse LTL text into a canonical core formula.
 
     Precedence, loosest first: -> | & (U, R) prefix; ->, U and R
-    associate to the right, & and | to the left.  Raises
-    FormulaSyntaxError on empty input, unknown tokens, unexpected
-    tokens, or nesting deeper than MAX_NESTING levels, reporting the
-    character position.
+    associate to the right, & and | to the left.  Each operator is
+    rewritten into the core connectives as it is read: a -> b becomes
+    !(a & !b), a | b becomes !(!a & !b), a R b becomes !(!a U !b), F a
+    becomes true U a, G a becomes !(true U !a), false becomes !true,
+    and a double negation is removed.  Raises FormulaSyntaxError on
+    empty input, unknown tokens, unexpected tokens, or nesting deeper
+    than MAX_NESTING levels, reporting the character position.
     """
     tokens = list(_lex(text))
     if not tokens[0][0]:
         raise FormulaSyntaxError("empty input", 0)
     # One operator-precedence loop over explicit stacks: `operands` holds
     # each operand with its nesting height, `pending` each open operator
-    # or parenthesis as (precedence, right-associative, node class,
-    # position).  `depth` counts the open prefix operators, parentheses
-    # and right-associative operators.  Each of them adds a level to the
-    # result, so checking `depth` as it grows rejects a deep input before
-    # its operands pile up.
+    # or parenthesis as (precedence, right-associative, rule, position).
+    # `depth` counts the open prefix operators, parentheses and
+    # right-associative operators.  Each of them adds a level to the
+    # text, so checking `depth` as it grows rejects a deep input before
+    # its operands pile up.  Heights count the levels of the text, not
+    # of the core formula its rules build.
     operands: list[tuple[Formula, int]] = []
-    pending: list[tuple[int, bool, Optional[type], int]] = []
+    pending: list[tuple[int, bool, Optional[Callable], int]] = []
     depth = 0
     read = iter(tokens)
     while True:
@@ -304,7 +295,7 @@ def parse(text: str) -> Formula:
         if word == "true":
             operands.append((TRUE, 0))
         elif word == "false":
-            operands.append((FalseConst(), 0))
+            operands.append((Not(TRUE), 0))
         elif word[:1].islower():
             operands.append((Atom(word), 0))
         else:
@@ -315,24 +306,24 @@ def parse(text: str) -> Formula:
         # ")" closes its parenthesis.
         while True:
             word, pos = next(read)
-            prec, right, kind = _BINARY.get(word, _CLOSE)
+            prec, right, rule = _BINARY.get(word, _CLOSE)
             while pending:
-                top_prec, top_right, top_kind, top_pos = pending[-1]
+                top_prec, top_right, top_rule, top_pos = pending[-1]
                 if top_prec < prec or top_prec == prec and top_right:
                     break
                 pending.pop()
                 depth -= top_right
-                if issubclass(top_kind, _Unary):
+                if top_prec == _PREFIX:
                     child, height = operands.pop()
-                    operands.append((top_kind(child), _checked(height + 1, top_pos)))
+                    operands.append((top_rule(child), _checked(height + 1, top_pos)))
                 else:
                     (rhs, rhs_height), (lhs, lhs_height) = operands.pop(), operands.pop()
                     height = 1 + max(lhs_height, rhs_height)
-                    operands.append((top_kind(lhs, rhs), _checked(height, top_pos)))
-            if kind is not None:
+                    operands.append((top_rule(lhs, rhs), _checked(height, top_pos)))
+            if rule is not None:
                 if right:
                     depth = _checked(depth + 1, pos)
-                pending.append((prec, right, kind, pos))
+                pending.append((prec, right, rule, pos))
                 break
             if word == ")" and pending:
                 open_pos = pending.pop()[3]
@@ -350,13 +341,6 @@ def parse(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # Core formulas
 # ---------------------------------------------------------------------------
-
-
-def negated(f: Formula) -> Formula:
-    """Canonical negation: strips a leading negation instead of stacking."""
-    if isinstance(f, Not):
-        return f.child
-    return Not(f)
 
 
 def _operands(f: Formula) -> tuple[Formula, ...]:
@@ -387,48 +371,6 @@ def subformulas(f: Formula) -> list[Formula]:
                 found[child] = None
                 stack.append(child)
     return sorted(found, key=formula_size)
-
-
-def desugar(f: Formula) -> Formula:
-    """Rewrite a surface formula into the core grammar.
-
-    or/implies become negated conjunctions, R becomes negated until,
-    F p becomes true U p, G p becomes !(true U !p), and false becomes
-    !true.  The result is canonical (no double negation).
-    """
-    core: dict[Formula, Formula] = {}
-    for g in subformulas(f):
-        match g:
-            case Atom() | TrueConst():
-                core[g] = g
-            case FalseConst():
-                core[g] = Not(TRUE)
-            case Not(child):
-                core[g] = negated(core[child])
-            case And(left, right):
-                core[g] = And(core[left], core[right])
-            case Or(left, right):
-                core[g] = negated(And(negated(core[left]), negated(core[right])))
-            case Implies(left, right):
-                core[g] = negated(And(core[left], negated(core[right])))
-            case Next(child):
-                core[g] = Next(core[child])
-            case Until(left, right):
-                core[g] = Until(core[left], core[right])
-            case Release(left, right):
-                core[g] = negated(Until(negated(core[left]), negated(core[right])))
-            case Finally(child):
-                core[g] = Until(TRUE, core[child])
-            case Globally(child):
-                core[g] = negated(Until(TRUE, negated(core[child])))
-            case _:
-                raise TypeError(f"not a formula: {short_repr(g)}")
-    return core[f]
-
-
-def parse_core(text: str) -> Formula:
-    """Parse and desugar in one step."""
-    return desugar(parse(text))
 
 
 def formula_size(f: Formula) -> int:

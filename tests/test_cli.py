@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -41,6 +42,18 @@ class TestTranslate:
         assert stderr == ""
         parsed = read_hoa(out.read_text(encoding="utf-8"))
         assert parsed.num_states == 9
+
+    def test_readme_sample_with_every_derived_operator(self, capsys, tmp_path):
+        out = tmp_path / "sugar.hoa"
+        code, stdout, _ = run(
+            capsys,
+            "translate", "--formula", "G (a -> F b) | a R !b & !false",
+            "--alphabet", "a,b", "--value", "uu", "--out-hoa", str(out),
+        )
+        assert code == 0
+        assert stdout == "states=78 initial=32 accsets=4\n"
+        digest = hashlib.sha1(out.read_bytes()).hexdigest()
+        assert digest == "650032bce0a1c48729334b04e29f1d8b3fb48d32"
 
     def test_summary_counts_one_set_per_until_and_the_full_set(self, capsys, tmp_path):
         code, stdout, _ = run(

@@ -72,7 +72,7 @@ class TestParseModel:
     def test_minimal_model(self):
         m = self_loop({"a": "t"})
         assert m.states == ("s0",)
-        assert m.label("s0", "a") is Truth.TRUE
+        assert m.labels == {"s0": {"a": Truth.TRUE}}
 
     def test_duplicate_state(self):
         with pytest.raises(ModelFormatError, match="duplicate state"):
@@ -114,7 +114,8 @@ class TestParseModel:
 
     def test_labels_default_to_unknown(self):
         m = parse_model(model_doc(["s0"], "s0", [["s0", "s0"]], {}))
-        assert m.label("s0", "a") is Truth.UNKNOWN
+        assert m.labels == {}
+        assert letter_of(m, "s0", ["a"]) == frozenset()
 
     @pytest.mark.parametrize(
         "document, message",

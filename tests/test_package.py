@@ -27,9 +27,9 @@ EXPORTED = sorted(
     ModelFormatError TransitionModel Verdict check_model letter_of
     nba_accepts_lasso parse_model product_nonempty
     LassoFormatError LassoWord eval_lasso lasso
-    And Atom Closure FalseConst Finally Formula FormulaSyntaxError Globally
-    Implies MAX_NESTING Next Not Or Release TrueConst TRUE Until atoms_of
-    closure_of desugar format_formula formula_size negated parse parse_core
+    And Atom Closure Formula FormulaSyntaxError MAX_NESTING Next Not
+    TrueConst TRUE Until atoms_of closure_of format_formula formula_size
+    negated parse_core
     Truth parse_truth
     """.split()
 )

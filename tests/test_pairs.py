@@ -13,8 +13,12 @@ pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(pairs)
 
 
-def result(**values):
-    return {"failed": 0, "metrics": {name: {"value": v} for name, v in values.items()}}
+def result(failed=0, attempted=100, **values):
+    return {
+        "failed": failed,
+        "attempted": attempted,
+        "metrics": {name: {"value": v} for name, v in values.items()},
+    }
 
 
 class Stub:
@@ -129,3 +133,42 @@ def test_narrow_base_spread_and_small_change_is_ok():
     change = [93, 95, 97, 99, 101] * 2
     assert regression(base, change) == "ok"
     assert regression(base, change, up=False) == "ok"
+
+
+def failed_share_lines(base, change):
+    """The report's failed-share lines for stubbed (failed, attempted) runs."""
+    results = pairs.run_pairs(
+        Stub(
+            [result(failed=f, attempted=a, ops_per_s=1) for f, a in base],
+            [result(failed=f, attempted=a, ops_per_s=1) for f, a in change],
+        ),
+        len(base),
+    )
+    text = pairs.report(pairs.summarize(results, {"ops_per_s": (True, 0.25)}), results)
+    return [line for line in text.splitlines() if "failed share" in line]
+
+
+def test_larger_failed_share_of_the_change_is_worse():
+    assert failed_share_lines([(0, 100), (0, 100)], [(1, 100), (0, 100)]) == [
+        "base: failed share 0.000000 (0 of 200)",
+        "change: failed share 0.005000 (1 of 200)",
+        "failed share: worse",
+    ]
+
+
+def test_equal_or_smaller_failed_share_is_ok():
+    assert failed_share_lines([(2, 100)], [(2, 100)])[-1] == "failed share: ok"
+    assert failed_share_lines([(2, 100)], [(1, 100)])[-1] == "failed share: ok"
+    assert failed_share_lines([(0, 100)], [(0, 300)])[-1] == "failed share: ok"
+
+
+def test_failed_share_sums_over_runs():
+    # Base: 1 of 100 (1 %) in all; per run 10 % and 0 %, a mean of 5 %.
+    # Change: 2 of 100 (2 %), 2 % in each run: worse by the summed rule,
+    # better by a mean of per-run shares.
+    lines = failed_share_lines([(1, 10), (0, 90)], [(1, 50), (1, 50)])
+    assert lines[:2] == [
+        "base: failed share 0.010000 (1 of 100)",
+        "change: failed share 0.020000 (2 of 100)",
+    ]
+    assert lines[-1] == "failed share: worse"

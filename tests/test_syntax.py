@@ -10,26 +10,18 @@ from hypothesis import given, strategies as st
 from triltl import (
     And,
     Atom,
-    FalseConst,
-    Finally,
     FormulaSyntaxError,
-    Globally,
-    Implies,
     MAX_NESTING,
     Next,
     Not,
-    Or,
-    Release,
     TRUE,
     TrueConst,
     Until,
     atoms_of,
     closure_of,
-    desugar,
     format_formula,
     formula_size,
     negated,
-    parse,
     parse_core,
 )
 from helpers import CORPUS, eval_lasso_two_valued
@@ -39,7 +31,13 @@ from triltl.syntax import check_core
 from triltl.semantics import eval_lasso, lasso
 from triltl.truth import Truth
 
-A, B, P, Q = Atom("a"), Atom("b"), Atom("p"), Atom("q")
+A, B, C, P, Q = Atom("a"), Atom("b"), Atom("c"), Atom("p"), Atom("q")
+
+
+class Or(syntax._Binary):
+    """A node of no core connective, for the messages that refuse one."""
+
+    __slots__ = ()
 
 
 core_formulas = st.recursive(
@@ -53,67 +51,106 @@ core_formulas = st.recursive(
     max_leaves=6,
 )
 
+#: The README's rules: the core formula of each operator of formula
+#: text, built from the core formulas of its operands.
+RULES = {
+    "!": negated,
+    "X": Next,
+    "F": lambda c: Until(TRUE, c),
+    "G": lambda c: negated(Until(TRUE, negated(c))),
+    "&": And,
+    "|": lambda l, r: negated(And(negated(l), negated(r))),
+    "->": lambda l, r: negated(And(l, negated(r))),
+    "U": Until,
+    "R": lambda l, r: negated(Until(negated(l), negated(r))),
+}
+
+#: Pairs of fully parenthesized formula text and the core formula that
+#: the rules make of it.
+surface_texts = st.recursive(
+    st.sampled_from([("a", A), ("b", B), ("true", TRUE), ("false", Not(TRUE))]),
+    lambda children: st.one_of(
+        st.builds(
+            lambda op, c: (f"{op}({c[0]})", RULES[op](c[1])),
+            st.sampled_from("!XFG"),
+            children,
+        ),
+        st.builds(
+            lambda op, l, r: (f"({l[0]}) {op} ({r[0]})", RULES[op](l[1], r[1])),
+            st.sampled_from(["&", "|", "->", "U", "R"]),
+            children,
+            children,
+        ),
+    ),
+    max_leaves=8,
+)
+
 
 class TestParse:
     def test_single_next(self):
-        assert parse("X a") == Next(A)
+        assert parse_core("X a") is Next(A)
 
     def test_until_binds_tighter_than_and(self):
-        assert parse("a U b & c") == And(Until(A, B), Atom("c"))
+        assert parse_core("a U b & c") is And(Until(A, B), C)
 
     def test_nested_parens_and_implies(self):
-        assert parse("G (p -> F q)") == Globally(Implies(P, Finally(Q)))
+        assert parse_core("G (p -> F q)") is Not(Until(TRUE, And(P, Not(Until(TRUE, Q)))))
 
     def test_until_right_associative(self):
-        assert parse("a U b U c") == Until(A, Until(B, Atom("c")))
+        assert parse_core("a U b U c") is Until(A, Until(B, C))
 
     def test_implies_right_associative(self):
-        assert parse("a -> b -> c") == Implies(A, Implies(B, Atom("c")))
+        assert parse_core("a -> b -> c") is Not(And(A, And(B, Not(C))))
 
     def test_and_left_associative(self):
-        assert parse("a & b & c") == And(And(A, B), Atom("c"))
+        assert parse_core("a & b & c") is And(And(A, B), C)
 
     def test_or_looser_than_and(self):
-        assert parse("a | b & c") == Or(A, And(B, Atom("c")))
+        assert parse_core("a | b & c") is Not(And(Not(A), Not(And(B, C))))
 
     def test_unary_chain(self):
-        assert parse("!X a") == Not(Next(A))
-        assert parse("X !a") == Next(Not(A))
+        assert parse_core("!X a") is Not(Next(A))
+        assert parse_core("X !a") is Next(Not(A))
 
     def test_identifier_with_digits_and_underscore(self):
-        assert parse("req_1") == Atom("req_1")
+        assert parse_core("req_1") is Atom("req_1")
+
+    @given(surface_texts)
+    def test_each_operator_follows_its_rule(self, pair):
+        text, expected = pair
+        assert parse_core(text) is expected
 
     def test_empty_input(self):
         with pytest.raises(FormulaSyntaxError) as err:
-            parse("   ")
+            parse_core("   ")
         assert err.value.position == 0
 
     def test_unknown_token_position(self):
         with pytest.raises(FormulaSyntaxError) as err:
-            parse("a & @b")
+            parse_core("a & @b")
         assert err.value.position == 4
 
     def test_uppercase_junk_is_a_lex_error(self):
         with pytest.raises(FormulaSyntaxError):
-            parse("a & Y")
+            parse_core("a & Y")
 
     def test_dangling_operator(self):
         with pytest.raises(FormulaSyntaxError) as err:
-            parse("a U")
+            parse_core("a U")
         assert err.value.position == 3
 
     def test_trailing_junk(self):
         with pytest.raises(FormulaSyntaxError) as err:
-            parse("a b")
+            parse_core("a b")
         assert err.value.position == 2
 
     def test_unclosed_paren(self):
         with pytest.raises(FormulaSyntaxError):
-            parse("(a U b")
+            parse_core("(a U b")
 
     def test_lone_arrow_fragment(self):
         with pytest.raises(FormulaSyntaxError):
-            parse("a - b")
+            parse_core("a - b")
 
 
 class TestNestingLimit:
@@ -134,24 +171,23 @@ class TestNestingLimit:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_limit_is_exact(self, shape):
         make = self.SHAPES[shape]
-        parse(make(MAX_NESTING))
+        parse_core(make(MAX_NESTING))
         with pytest.raises(FormulaSyntaxError, match="nests deeper"):
-            parse(make(MAX_NESTING + 2))
+            parse_core(make(MAX_NESTING + 2))
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_recursive_functions_fit_at_the_limit(self, shape):
-        f = parse(self.SHAPES[shape](MAX_NESTING))
-        core = desugar(f)
+        f = parse_core(self.SHAPES[shape](MAX_NESTING))
         atoms_of(f)
         formula_size(f)
-        check_core(core)
-        format_formula(core)
-        closure_of(core)
-        _subformulas_bottom_up(core)
+        check_core(f)
+        format_formula(f)
+        closure_of(f)
+        _subformulas_bottom_up(f)
 
     def test_error_points_at_the_first_level_too_many(self):
         with pytest.raises(FormulaSyntaxError) as err:
-            parse("X " * 1200 + "a")
+            parse_core("X " * 1200 + "a")
         assert err.value.position == 2 * MAX_NESTING
 
 
@@ -190,7 +226,7 @@ class TestParseErrors:
     )
     def test_message_and_position(self, text, message, position):
         with pytest.raises(FormulaSyntaxError) as err:
-            parse(text)
+            parse_core(text)
         assert str(err.value) == f"{message} (at position {position})"
         assert err.value.position == position
 
@@ -200,7 +236,9 @@ DEEP_SHAPES = {
     "next": lambda f, i: Next(f),
     "left-and": lambda f, i: And(f, B),
     "right-until": lambda f, i: Until(B, f),
-    "surface-mix": lambda f, i: Or(f, B) if i % 3 == 0 else Globally(f) if i % 3 == 1 else Not(f),
+    "surface-mix": lambda f, i: (
+        RULES["|"](f, B) if i % 3 == 0 else RULES["G"](f) if i % 3 == 1 else negated(f)
+    ),
 }
 
 
@@ -214,21 +252,19 @@ class TestDeepFormulas:
         f = A
         for i in range(levels):
             f = DEEP_SHAPES[shape](f, i)
-        core = desugar(f)
         assert atoms_of(f) == ({"a"} if shape == "next" else {"a", "b"})
-        check_core(core)
-        text = format_formula(core)
-        closure = closure_of(core)
-        base = core.child if isinstance(core, Not) else core
+        check_core(f)
+        text = format_formula(f)
+        closure = closure_of(f)
+        base = f.child if isinstance(f, Not) else f
         i = closure.index[base]
-        assert text == (closure.base_texts[i] if base is core else closure.negated_texts[i])
+        assert text == (closure.base_texts[i] if base is f else closure.negated_texts[i])
         for letter in ({("a", True), ("b", False)}, {("a", False), ("b", True)}):
             word = lasso([], [frozenset(letter)], ["a", "b"])
-            expected = Truth.TRUE if eval_lasso_two_valued(core, word) else Truth.FALSE
-            assert eval_lasso(core, word) is expected
-        for g in (f, core):
-            assert pickle.loads(pickle.dumps(g)) is g
-            assert copy.deepcopy(g) is g
+            expected = Truth.TRUE if eval_lasso_two_valued(f, word) else Truth.FALSE
+            assert eval_lasso(f, word) is expected
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert copy.deepcopy(f) is f
 
     def test_repr_and_error_messages_do_not_recurse(self):
         levels = 3 * sys.getrecursionlimit()
@@ -262,14 +298,14 @@ class TestNonFormulaOperands:
     """A node whose operand is not a formula is refused with ValueError,
     which names the node."""
 
-    @pytest.mark.parametrize("call", [check_core, desugar, atoms_of, closure_of])
+    @pytest.mark.parametrize("call", [check_core, atoms_of, closure_of])
     @pytest.mark.parametrize("node", [Not("a"), And(A, 3)], ids=["not-str", "and-int"])
     def test_refused_with_value_error(self, call, node):
         with pytest.raises(ValueError, match="is not a formula") as caught:
             call(node)
         assert f"of {node!r}" in str(caught.value)
 
-    @pytest.mark.parametrize("call", [check_core, desugar, atoms_of, closure_of])
+    @pytest.mark.parametrize("call", [check_core, atoms_of, closure_of])
     def test_a_non_formula_is_refused(self, call):
         with pytest.raises(ValueError, match="not a formula: 'a'"):
             call("a")
@@ -298,13 +334,9 @@ class TestDesugar:
     def test_false_release_matches_globally(self):
         assert parse_core("false R a") == parse_core("G a")
 
-    @given(core_formulas)
-    def test_desugar_is_identity_on_core(self, f):
-        assert desugar(f) == f
-
-    @given(core_formulas)
-    def test_desugared_formulas_are_canonical_core(self, f):
-        check_core(f)
+    @given(surface_texts)
+    def test_desugared_formulas_are_canonical_core(self, pair):
+        check_core(parse_core(pair[0]))
 
 
 class TestNegate:
@@ -325,7 +357,7 @@ class TestNegate:
 class TestPrinter:
     @given(core_formulas)
     def test_parse_print_round_trip(self, f):
-        assert desugar(parse(format_formula(f))) == f
+        assert parse_core(format_formula(f)) is f
 
     def test_parenthesization(self):
         assert format_formula(Until(Until(A, B), A)) == "(a U b) U a"
@@ -396,7 +428,7 @@ def test_formula_size():
 
 def test_check_core_rejects_surface_nodes():
     with pytest.raises(ValueError):
-        check_core(parse("a | b"))
+        check_core(Or(A, B))
     with pytest.raises(ValueError):
         check_core(Not(Not(A)))
 
@@ -405,29 +437,11 @@ def test_check_core_rejects_surface_nodes():
 NODES = {
     "Atom(name='a')": A,
     "TrueConst()": TRUE,
-    "FalseConst()": FalseConst(),
     "Not(child=Atom(name='a'))": Not(A),
     "Next(child=Atom(name='a'))": Next(A),
-    "Finally(child=Atom(name='a'))": Finally(A),
-    "Globally(child=Atom(name='a'))": Globally(A),
     "And(left=Atom(name='a'), right=Atom(name='b'))": And(A, B),
-    "Or(left=Atom(name='a'), right=Atom(name='b'))": Or(A, B),
-    "Implies(left=Atom(name='a'), right=Atom(name='b'))": Implies(A, B),
     "Until(left=Atom(name='a'), right=Atom(name='b'))": Until(A, B),
-    "Release(left=Atom(name='a'), right=Atom(name='b'))": Release(A, B),
 }
-
-surface_formulas = st.recursive(
-    st.one_of(st.sampled_from([A, B, TRUE, FalseConst()])),
-    lambda children: st.one_of(
-        *(st.builds(kind, children) for kind in (Not, Next, Finally, Globally)),
-        *(
-            st.builds(kind, children, children)
-            for kind in (And, Or, Implies, Until, Release)
-        ),
-    ),
-    max_leaves=8,
-)
 
 
 def _fields(f):
@@ -467,18 +481,16 @@ class TestNodeClasses:
     def test_equality_is_by_class_and_fields(self):
         assert And(A, B) == And(Atom("a"), Atom("b"))
         assert And(A, B) != And(B, A)
-        assert And(A, B) != Or(A, B)
-        assert Until(A, B) != Release(A, B)
+        assert And(A, B) != Until(A, B)
         assert Not(A) != Next(A)
-        assert Finally(A) != Globally(A)
-        assert TRUE != FalseConst()
+        assert TRUE != Not(TRUE)
         assert TrueConst() == TRUE
         assert A != "a"
         distinct = list(NODES.values())
         for i, f in enumerate(distinct):
             assert [g == f for g in distinct] == [j == i for j in range(len(distinct))]
 
-    @given(surface_formulas)
+    @given(core_formulas)
     def test_hash_is_the_hash_of_the_field_tuple(self, f):
         for node in _nodes(f):
             assert hash(node) == hash(_fields(node))
@@ -505,7 +517,7 @@ class TestNodeClasses:
             case Atom(name):
                 assert name == "q"
 
-    @given(surface_formulas)
+    @given(core_formulas)
     def test_pickle_and_deepcopy_round_trip(self, f):
         for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
             assert twin is f
@@ -518,7 +530,7 @@ class TestNodeClasses:
 class TestInterning:
     """Each distinct formula is one object, so equality is identity."""
 
-    @given(surface_formulas)
+    @given(core_formulas)
     def test_rebuilding_a_node_from_its_fields_returns_it(self, f):
         for node in _nodes(f):
             assert type(node)(*_fields(node)) is node
@@ -526,7 +538,6 @@ class TestInterning:
     @pytest.mark.parametrize("text", CORPUS)
     def test_parsing_twice_gives_one_object(self, text):
         assert parse_core(text) is parse_core(text)
-        assert parse(text) is parse(text)
 
     def test_threads_that_race_get_one_object(self):
         # Fresh atom names, so that every construction is a miss.
@@ -550,7 +561,7 @@ class TestInterning:
         for nodes in built[1:]:
             assert all(f is g for f, g in zip(nodes, built[0], strict=True))
 
-    @given(surface_formulas)
+    @given(core_formulas)
     def test_stored_size_is_the_node_count(self, f):
         for node in _nodes(f):
             assert formula_size(node) == _count(node)

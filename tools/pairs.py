@@ -7,7 +7,7 @@ Runs `bench/run.py` of each checkout, from that checkout's root, once per
 side for each pair, alternating which side runs first.  For every
 end-to-end metric it prints each side's median and quartiles, how many
 pairs the change won (ties count for neither side), and the base's
-interquartile range.  It applies two rules:
+interquartile range.  It applies three rules:
 
 - the gain rule: a metric shows a gain when the change won at least
   nine tenths of the pairs and the medians differ, in the better
@@ -16,7 +16,10 @@ interquartile range.  It applies two rules:
   median is worse than the base's by more than the metric's bound times
   the base median, `unresolved` when it is not regressed but the base's
   interquartile range exceeds that same margin and not every change run
-  beats every base run, and `ok` otherwise.
+  beats every base run, and `ok` otherwise;
+- the failed-share rule: per side, the failed operations of all its runs
+  over the operations they attempted; the report prints both shares and
+  `worse` when the change's share is larger than the base's.
 
 Metric names, directions and bounds come from the base checkout's
 `BENCHMARK.json`.  Only the standard library is used; nothing under
@@ -118,8 +121,14 @@ def summarize(
     return rows
 
 
+def failed_share(runs: list[dict]) -> tuple[int, int]:
+    """(failed, attempted) operations, summed over a side's runs."""
+    return sum(run["failed"] for run in runs), sum(run["attempted"] for run in runs)
+
+
 def report(rows: list[dict], results: dict[str, list[dict]]) -> str:
-    """The summary as a readable table, plus failed-op counts per side."""
+    """The summary as a readable table, plus failed-op counts per side
+    and the failed-share rule."""
     lines = [
         f"{'metric':<16} {'better':<6} {'base median [q1, q3]':<30} "
         f"{'change median [q1, q3]':<30} {'wins':>6} {'base IQR':>10}  gain  regression"
@@ -137,6 +146,12 @@ def report(rows: list[dict], results: dict[str, list[dict]]) -> str:
     for side, runs in results.items():
         failed = [run.get("failed", 0) for run in runs]
         lines.append(f"{side}: failed ops per run {failed}")
+    shares = {}
+    for side, runs in results.items():
+        failed, attempted = failed_share(runs)
+        shares[side] = failed / attempted if attempted else 0.0
+        lines.append(f"{side}: failed share {shares[side]:.6f} ({failed} of {attempted})")
+    lines.append(f"failed share: {'worse' if shares['change'] > shares['base'] else 'ok'}")
     return "\n".join(lines)
 
 
