@@ -183,6 +183,8 @@ def _parse_label(expr: str, ap: tuple[str, ...]) -> Letter:
         if prop >= len(ap):
             raise HoaFormatError(f"label uses undeclared proposition {prop}")
         (negative if negate else positive).add(prop)
+    if positive & negative:
+        raise HoaFormatError(f"label asserts and negates proposition {min(positive & negative)}")
     literals = []
     for j in range(0, len(ap), 2):
         atom = ap[j]
@@ -218,7 +220,9 @@ def read_hoa(text: str) -> HoaAutomaton:
     This is deliberately a subset reader: it understands exactly the
     headers and body statements the emitter writes, and raises
     HoaFormatError on anything else: out-of-range ids, repeated
-    proposition names and states without a State: line included.
+    proposition names or header lines, labels that assert and negate one
+    proposition, states without a State: line and lines after --END--
+    included.
     """
     lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line]
@@ -230,10 +234,17 @@ def read_hoa(text: str) -> HoaAutomaton:
     ap: tuple[str, ...] = ()
     acceptance_count = None
     named_count = None
+    seen: set[str] = set()
     i = 1
     while i < len(lines) and lines[i] != "--BODY--":
         line = lines[i]
         i += 1
+        # Every header but Start: is written once.
+        key = line.partition(":")[0]
+        if key in seen:
+            raise HoaFormatError(f"header {key}: is repeated")
+        if key != "Start":
+            seen.add(key)
         if line.startswith("States:"):
             num_states = _number(line[len("States:") :], "state count")
         elif line.startswith("Start:"):
@@ -282,6 +293,8 @@ def read_hoa(text: str) -> HoaAutomaton:
     initial = frozenset({_number(start, "start state", num_states) for start in starts})
     # The header loop refuses "--END--", so the first one ends the body.
     end = lines.index("--END--") if "--END--" in lines else len(lines)
+    if end < len(lines) - 1:
+        raise HoaFormatError(f"unexpected line after --END--: {lines[end + 1]!r}")
     # Count the State: lines before allocating anything per state: a
     # huge declared count then costs nothing, and with no state declared
     # twice or out of range, enough lines means every state is declared.

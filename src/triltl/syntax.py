@@ -24,8 +24,8 @@ class FormulaSyntaxError(ValueError):
 # Formula nodes are interned: `Formula.__new__` returns the one node of a
 # class with given fields, so equality is identity and a formula is a
 # cheap dict key.  Each node stores, when it is made, its hash (hash()
-# of its field tuple, the value a frozen dataclass computes) and its
-# size.  The table keeps every distinct formula the process has built.
+# of its field tuple, the value a frozen dataclass computes), size and
+# depth.  The table keeps every distinct formula the process has built.
 _set = object.__setattr__
 _interned: dict[tuple, Formula] = {}
 
@@ -33,8 +33,10 @@ _interned: dict[tuple, Formula] = {}
 class Formula:
     """Base class for formula nodes."""
 
-    __slots__ = ("_hash", "_size")
+    __slots__ = ("_hash", "_size", "_depth")
     __match_args__: tuple[str, ...] = ()
+    #: Levels a node adds to its deepest operand's depth (atoms are 0 deep).
+    _step = 1
 
     def __new__(cls, *fields):
         key = (cls, fields)
@@ -49,8 +51,10 @@ class Formula:
         node = object.__new__(cls)
         for name, value in zip(names, fields):
             _set(node, name, value)
+        operands = [f for f in fields if isinstance(f, Formula)]
         _set(node, "_hash", hash(fields))
-        _set(node, "_size", 1 + sum(f._size for f in fields if isinstance(f, Formula)))
+        _set(node, "_size", 1 + sum(f._size for f in operands))
+        _set(node, "_depth", max(f._depth for f in operands) + cls._step if operands else 0)
         # setdefault keeps the first node made if two threads race here.
         return _interned.setdefault(key, node)
 
@@ -147,6 +151,8 @@ class TrueConst(Formula):
 
 class Not(_Unary):
     __slots__ = ()
+    # A negation is the sign of a closure member: `!b` is as deep as `b`.
+    _step = 0
 
 
 class And(_Binary):
@@ -214,10 +220,12 @@ def _lex(text: str) -> Iterator[tuple[str, int]]:
     yield "", n
 
 
-#: Deepest nesting a formula text may have.  Each operator and each pair
-#: of parentheses on a path from the whole formula down to an atom counts
-#: one level.  Nothing in the library recurses over formulas, so this is
-#: an input policy.
+#: Deepest core formula the parser builds: each `X`, `&` and `U` on a
+#: path from the root down to an atom or `true` is one level, and `!`
+#: none.  A text operator adds at most one level and parentheses none,
+#: so the printed text of an accepted formula and of each member of its
+#: closure parses back.  Nothing in the library recurses over formulas,
+#: so this is an input policy.
 MAX_NESTING = 100
 
 #: Binary operator token -> (precedence, right-associative, rule); a
@@ -247,10 +255,10 @@ _OPENING: dict[str, tuple[int, bool, Optional[Callable[[Formula], Formula]]]] = 
 _CLOSE = (0, False, None)
 
 
-def _checked(height: int, pos: int) -> int:
-    if height > MAX_NESTING:
+def _checked(f: Formula, pos: int) -> Formula:
+    if f._depth > MAX_NESTING:
         raise FormulaSyntaxError(f"formula nests deeper than {MAX_NESTING} levels", pos)
-    return height
+    return f
 
 
 def _expected(what: str, word: str, pos: int) -> FormulaSyntaxError:
@@ -274,30 +282,25 @@ def parse_core(text: str) -> Formula:
     if not tokens[0][0]:
         raise FormulaSyntaxError("empty input", 0)
     # One operator-precedence loop over explicit stacks: `operands` holds
-    # each operand with its nesting height, `pending` each open operator
+    # the core formula of each operand read, `pending` each open operator
     # or parenthesis as (precedence, right-associative, rule, position).
-    # `depth` counts the open prefix operators, parentheses and
-    # right-associative operators.  Each of them adds a level to the
-    # text, so checking `depth` as it grows rejects a deep input before
-    # its operands pile up.  Heights count the levels of the text, not
-    # of the core formula its rules build.
-    operands: list[tuple[Formula, int]] = []
+    # Each node a rule builds is checked against the limit, so the error
+    # names the operator whose node first nests too deep.
+    operands: list[Formula] = []
     pending: list[tuple[int, bool, Optional[Callable], int]] = []
-    depth = 0
     read = iter(tokens)
     while True:
         # An operand: prefix operators and open parentheses, then a word.
         word, pos = next(read)
         while word in _OPENING:
-            depth = _checked(depth + 1, pos)
             pending.append((*_OPENING[word], pos))
             word, pos = next(read)
         if word == "true":
-            operands.append((TRUE, 0))
+            operands.append(TRUE)
         elif word == "false":
-            operands.append((Not(TRUE), 0))
+            operands.append(Not(TRUE))
         elif word[:1].islower():
-            operands.append((Atom(word), 0))
+            operands.append(Atom(word))
         else:
             raise _expected("a formula", word, pos)
         # After an operand: the next token reduces the open operators that
@@ -312,30 +315,19 @@ def parse_core(text: str) -> Formula:
                 if top_prec < prec or top_prec == prec and top_right:
                     break
                 pending.pop()
-                depth -= top_right
-                if top_prec == _PREFIX:
-                    child, height = operands.pop()
-                    operands.append((top_rule(child), _checked(height + 1, top_pos)))
-                else:
-                    (rhs, rhs_height), (lhs, lhs_height) = operands.pop(), operands.pop()
-                    height = 1 + max(lhs_height, rhs_height)
-                    operands.append((top_rule(lhs, rhs), _checked(height, top_pos)))
+                n = 1 if top_prec == _PREFIX else 2
+                operands[-n:] = [_checked(top_rule(*operands[-n:]), top_pos)]
             if rule is not None:
-                if right:
-                    depth = _checked(depth + 1, pos)
                 pending.append((prec, right, rule, pos))
                 break
             if word == ")" and pending:
-                open_pos = pending.pop()[3]
-                depth -= 1
-                f, height = operands.pop()
-                operands.append((f, _checked(height + 1, open_pos)))
+                pending.pop()
             elif pending:
                 raise _expected("')'", word, pos)
             elif word:
                 raise _expected("end of input", word, pos)
             else:
-                return operands[0][0]
+                return operands[0]
 
 
 # ---------------------------------------------------------------------------

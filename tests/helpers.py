@@ -60,6 +60,31 @@ small_formulas = formulas_over(ATOMS)
 
 
 # ---------------------------------------------------------------------------
+# Depth oracle: the definition of a formula's depth, walked over the
+# operands with an explicit stack (independent of the depth each node
+# stores when it is made).
+# ---------------------------------------------------------------------------
+
+
+def depth_by_walk(f: Formula) -> int:
+    """Levels on the deepest path from `f` down to an atom or `true`:
+    each X, & and U is one level and ! none."""
+    depth: dict[Formula, int] = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        operands = [v for v in map(g.__getattribute__, g.__match_args__) if isinstance(v, Formula)]
+        todo = [h for h in operands if h not in depth]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        step = 0 if isinstance(g, Not) else 1
+        depth[g] = max(depth[h] + step for h in operands) if operands else 0
+    return depth[f]
+
+
+# ---------------------------------------------------------------------------
 # Naive elementary-set oracle: filter the powerset of the signed closure.
 # ---------------------------------------------------------------------------
 

@@ -481,7 +481,8 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "formula",
-        ["X " * 1200 + "a", "(" * 500 + "a" + ")" * 500],
+        # Parentheses are no level: inside 500 of them, one X too many.
+        ["X " * 1200 + "a", "(" * 500 + "X " * (MAX_NESTING + 1) + "a" + ")" * 500],
         ids=["next-1200", "parens-500"],
     )
     def test_too_deep_formula_is_usage_error(self, capsys, formula):
@@ -509,3 +510,10 @@ class TestEval:
         )
         assert code == 0
         assert stdout == expected
+
+    def test_deep_parentheses_and_negations_are_accepted(self, capsys):
+        formula = "(" * 500 + "!" * 501 + "X " * MAX_NESTING + "a" + ")" * 500
+        code, stdout, _ = run(
+            capsys, "eval", "--formula", formula, "--stem", "", "--loop", "a"
+        )
+        assert (code, stdout) == (0, "FALSE\n")

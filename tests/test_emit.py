@@ -13,6 +13,7 @@ from triltl import (
     atoms_of,
     build_automaton,
     format_state,
+    negated,
     parse_core,
     read_hoa,
     to_dot,
@@ -187,6 +188,10 @@ class TestHoa:
                 "properties: trans-labels explicit-labels state-acc deterministic",
                 "unsupported property 'deterministic'",
             ),
+            ("States: 9", "States: 9\nStates: 2", "header States: is repeated"),
+            ('AP: 2 "a" "a__neg"', 'AP: 2 "a" "a__neg"\nAP: 0', "header AP: is repeated"),
+            ("[0 & !1] 0", "[0 & !0] 0", "label asserts and negates proposition 0"),
+            ("--END--", "--END--\n\nState: 9", "unexpected line after --END--: 'State: 9'"),
         ],
     )
     def test_reader_rejects_malformed_fields(self, old, new, message):
@@ -254,3 +259,14 @@ class TestLabels:
             expected = [format_state(vec, g.closure) for vec in g.states]
             assert [g.state_label(q) for q in range(len(g.states))] == expected
             assert list(read_hoa(to_hoa(g)).state_names) == expected
+
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_each_member_of_a_hoa_state_name_parses_back(self, text):
+        # A member is a base or the negation of one; "∅" names no member.
+        for value in Truth:
+            g = pinned_automaton(text, value)
+            members = {*g.closure.bases, *map(negated, g.closure.bases)}
+            for name in read_hoa(to_hoa(g)).state_names:
+                if name != "∅":
+                    assert name[0] + name[-1] == "{}"
+                    assert {parse_core(m) for m in name[1:-1].split(", ")} <= members

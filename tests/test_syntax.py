@@ -1,8 +1,11 @@
 import copy
+import os
 import pickle
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +27,7 @@ from triltl import (
     negated,
     parse_core,
 )
-from helpers import CORPUS, eval_lasso_two_valued
+from helpers import CORPUS, depth_by_walk, eval_lasso_two_valued
 from triltl import syntax
 from triltl.syntax import subformulas as _subformulas_bottom_up
 from triltl.syntax import check_core
@@ -153,11 +156,59 @@ class TestParse:
             parse_core("a - b")
 
 
+#: One step of each deep shape, applied to the formula built so far.
+DEEP_SHAPES = {
+    "next": lambda f, i: Next(f),
+    "left-and": lambda f, i: And(f, B),
+    "right-until": lambda f, i: Until(B, f),
+    "surface-mix": lambda f, i: (
+        RULES["|"](f, B) if i % 3 == 0 else RULES["G"](f) if i % 3 == 1 else negated(f)
+    ),
+}
+
+#: The three chains of 99 operators whose printed text the parser once
+#: refused, since the printer adds parentheses and the rules negations.
+BASELINE_CHAINS = (
+    "G " * (MAX_NESTING - 1) + "a",
+    " R ".join(["a"] * (MAX_NESTING - 1) + ["b"]),
+    " -> ".join(["a"] * (MAX_NESTING - 1) + ["b"]),
+)
+#: More texts at the limit whose closures print deep member texts.
+MEMBER_TEXT_CASES = ("X " * MAX_NESTING + "a", "!" + " | ".join(["a"] * MAX_NESTING))
+
+#: Operands that any step below may add beside the formula it grows.
+SIDES = (A, B, TRUE, Not(A), Not(TRUE), Next(B), Until(A, Not(B)), And(Not(A), B))
+#: Steps that each make a formula one level deeper, given an operand
+#: no deeper than it.
+STEPS = (
+    lambda f, g: Next(f),
+    lambda f, g: And(f, g),
+    lambda f, g: And(g, f),
+    lambda f, g: Until(f, g),
+    lambda f, g: Until(g, f),
+)
+
+
+@st.composite
+def deep_core_formulas(draw):
+    """Canonical core formulas up to MAX_NESTING deep, often exactly at
+    it: a small formula grown one level at a time, each step maybe
+    negated."""
+    f = draw(core_formulas)
+    target = draw(st.one_of(st.just(MAX_NESTING), st.integers(f._depth, MAX_NESTING)))
+    while f._depth < target:
+        g = draw(st.sampled_from([g for g in SIDES if g._depth <= f._depth]))
+        f = draw(st.sampled_from(STEPS))(f, g)
+        if draw(st.booleans()):
+            f = negated(f)
+    return f
+
+
 class TestNestingLimit:
-    """Each operator and each pair of parentheses is one level; the
-    limit holds whether the depth comes from recursion in the parser
-    (prefix operators, parentheses, right-associative operators) or
-    from a left-associative chain."""
+    """The limit bounds the depth of the core formula: each X, & and U
+    is one level and ! none.  A text operator adds at most one level and
+    parentheses none, so the limit holds alike for prefix operators,
+    right-associative and left-associative chains."""
 
     SHAPES = {
         "next": lambda d: "X " * d + "a",
@@ -168,12 +219,28 @@ class TestNestingLimit:
         "globally-parens": lambda d: "G (" * (d // 2) + "a" + ")" * (d // 2),
     }
 
+    #: Per shape, the argument whose core formula is exactly MAX_NESTING
+    #: deep and the next one that makes a deeper text.  Parentheses are
+    #: no level, so "parens" has no limit.
+    LIMITS = {
+        "next": (MAX_NESTING, MAX_NESTING + 1),
+        "until": (MAX_NESTING, MAX_NESTING + 1),
+        "and": (MAX_NESTING, MAX_NESTING + 1),
+        "not-or": (MAX_NESTING + 1, MAX_NESTING + 2),
+        "globally-parens": (2 * MAX_NESTING, 2 * MAX_NESTING + 2),
+    }
+
     @pytest.mark.parametrize("shape", SHAPES)
     def test_limit_is_exact(self, shape):
         make = self.SHAPES[shape]
         parse_core(make(MAX_NESTING))
+        if shape not in self.LIMITS:
+            assert parse_core(make(10 * MAX_NESTING)) is A
+            return
+        at, over = self.LIMITS[shape]
+        assert parse_core(make(at))._depth == MAX_NESTING
         with pytest.raises(FormulaSyntaxError, match="nests deeper"):
-            parse_core(make(MAX_NESTING + 2))
+            parse_core(make(over))
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_recursive_functions_fit_at_the_limit(self, shape):
@@ -186,9 +253,44 @@ class TestNestingLimit:
         _subformulas_bottom_up(f)
 
     def test_error_points_at_the_first_level_too_many(self):
+        # The innermost X is reduced first, so the error names the X
+        # whose node is MAX_NESTING + 1 deep, counted from the atom.
         with pytest.raises(FormulaSyntaxError) as err:
             parse_core("X " * 1200 + "a")
-        assert err.value.position == 2 * MAX_NESTING
+        assert err.value.position == 2 * (1200 - MAX_NESTING - 1)
+
+    def test_parentheses_and_negations_add_no_level(self):
+        deep = "X " * MAX_NESTING + "a"
+        f = parse_core(deep)
+        assert parse_core("(" * 1000 + deep + ")" * 1000) is f
+        assert parse_core("!" * 1001 + deep) is Not(f)
+        assert parse_core("!(" * 1000 + deep + ")" * 1000) is f
+        assert f._depth == Not(f)._depth == MAX_NESTING
+
+    @pytest.mark.parametrize("text", [*BASELINE_CHAINS, *MEMBER_TEXT_CASES])
+    def test_printed_and_closure_member_texts_parse_back(self, text):
+        psi = parse_core(text)
+        assert parse_core(format_formula(psi)) is psi
+        closure = closure_of(psi)
+        for base, pos, neg in zip(closure.bases, closure.base_texts, closure.negated_texts):
+            assert parse_core(pos) is base
+            assert parse_core(neg) is negated(base)
+
+    @given(deep_core_formulas())
+    def test_print_parse_round_trip_up_to_the_limit(self, psi):
+        assert psi._depth <= MAX_NESTING
+        assert parse_core(format_formula(psi)) is psi
+
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_a_formula_one_level_too_deep_prints_text_that_is_refused(self, shape):
+        f = A
+        i = 0
+        while f._depth <= MAX_NESTING:
+            f, i = DEEP_SHAPES[shape](f, i), i + 1
+        assert f._depth == MAX_NESTING + 1
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_core(format_formula(f))
+        assert str(err.value).startswith(f"formula nests deeper than {MAX_NESTING} levels (")
 
 
 class TestParseErrors:
@@ -211,16 +313,21 @@ class TestParseErrors:
             ("a b", "expected end of input, found 'b'", 2),
             ("a X b", "expected end of input, found 'X'", 2),
             ("a )", "expected end of input, found ')'", 2),
-            # The first level too many: prefix operators, parentheses and
-            # right-associative operators fail as they open; left chains
-            # when the operator that makes them too high is reduced.
-            (SHAPES["next"](MAX_NESTING + 1), NESTS, 2 * MAX_NESTING),
-            (SHAPES["parens"](MAX_NESTING + 1), NESTS, MAX_NESTING),
-            (SHAPES["until"](MAX_NESTING + 1), NESTS, 4 * MAX_NESTING + 2),
+            # The error names the operator whose node first nests too
+            # deep: the outermost one of a prefix or right-associative
+            # chain, which is reduced last, and the last one of a left
+            # chain.  Parentheses and ! are no level.
+            (SHAPES["next"](MAX_NESTING + 1), NESTS, 0),
+            (
+                "(" * (MAX_NESTING + 1) + SHAPES["next"](MAX_NESTING + 1) + ")" * (MAX_NESTING + 1),
+                NESTS,
+                MAX_NESTING + 1,
+            ),
+            (SHAPES["until"](MAX_NESTING + 1), NESTS, 2),
             (SHAPES["and"](MAX_NESTING + 1), NESTS, 4 * MAX_NESTING + 2),
-            (SHAPES["not-or"](MAX_NESTING + 1), NESTS, 4 * MAX_NESTING - 1),
-            # Levels come in pairs here, so MAX_NESTING + 1 still parses.
-            (SHAPES["globally-parens"](MAX_NESTING + 2), NESTS, 3 * (MAX_NESTING // 2)),
+            (SHAPES["not-or"](MAX_NESTING + 2), NESTS, 4 * MAX_NESTING + 3),
+            # One G and one pair of parentheses per two text levels.
+            (SHAPES["globally-parens"](2 * MAX_NESTING + 2), NESTS, 0),
         ],
         ids=lambda v: v[:20] if isinstance(v, str) else None,
     )
@@ -229,17 +336,6 @@ class TestParseErrors:
             parse_core(text)
         assert str(err.value) == f"{message} (at position {position})"
         assert err.value.position == position
-
-
-#: One step of each deep shape, applied to the formula built so far.
-DEEP_SHAPES = {
-    "next": lambda f, i: Next(f),
-    "left-and": lambda f, i: And(f, B),
-    "right-until": lambda f, i: Until(B, f),
-    "surface-mix": lambda f, i: (
-        RULES["|"](f, B) if i % 3 == 0 else RULES["G"](f) if i % 3 == 1 else negated(f)
-    ),
-}
 
 
 class TestDeepFormulas:
@@ -265,6 +361,42 @@ class TestDeepFormulas:
             assert eval_lasso(f, word) is expected
         assert pickle.loads(pickle.dumps(f)) is f
         assert copy.deepcopy(f) is f
+
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_stored_depth_matches_the_oracle(self, shape):
+        f = A
+        for i in range(3 * sys.getrecursionlimit()):
+            f = DEEP_SHAPES[shape](f, i)
+        assert f._depth == depth_by_walk(f)
+        for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert twin._depth == depth_by_walk(twin)
+
+    def test_unpickling_in_a_fresh_interpreter_stores_each_depth(self):
+        # No node exists there yet, so unpickling builds every node anew.
+        formulas = [parse_core(text) for text in (*BASELINE_CHAINS, *MEMBER_TEXT_CASES)]
+        for step in DEEP_SHAPES.values():
+            f = A
+            for i in range(3 * sys.getrecursionlimit()):
+                f = step(f, i)
+            formulas.append(f)
+        script = (
+            "import pickle, sys\n"
+            "from helpers import depth_by_walk\n"
+            "for f in pickle.loads(sys.stdin.buffer.read()):\n"
+            "    print(f._depth, depth_by_walk(f))\n"
+        )
+        tests = Path(__file__).parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            input=pickle.dumps(formulas),
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        expected = "".join(f"{f._depth} {f._depth}\n" for f in formulas)
+        assert done.stdout.decode() == expected
 
     def test_repr_and_error_messages_do_not_recurse(self):
         levels = 3 * sys.getrecursionlimit()
@@ -560,6 +692,12 @@ class TestInterning:
         assert not any(t.is_alive() for t in threads)
         for nodes in built[1:]:
             assert all(f is g for f, g in zip(nodes, built[0], strict=True))
+
+    @given(st.one_of(core_formulas, deep_core_formulas()))
+    def test_stored_depth_matches_the_oracle(self, f):
+        assert f._depth == depth_by_walk(f)
+        for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert twin._depth == depth_by_walk(twin)
 
     @given(core_formulas)
     def test_stored_size_is_the_node_count(self, f):
