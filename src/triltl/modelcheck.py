@@ -13,11 +13,11 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .gnba import DEFAULT_CANDIDATE_CAP, Gnba, LazyFamily, Nba, PatternIndex, checked_closure
 from .letters import Letter, restrict_letter
-from .search import accepting_cycle_reachable, first_accepting_lasso
+from .search import LIVE, _couvreur, accepting_cycle_reachable, first_accepting_lasso
 from .semantics import LassoWord, eval_lasso, lasso
 from .syntax import Formula, atoms_of, is_atom_name
 from .truth import Truth
@@ -55,11 +55,22 @@ class TransitionModel:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Successor indices of each state index, built once per model."""
+        """Successor indices of each state index, built once per model.
+
+        Raises `ModelFormatError`, with `parse_model`'s messages, for an
+        edge endpoint that is not a declared state and for a state with
+        no outgoing edge, so a model built by hand is checked as well.
+        """
         position = self.position
         out: list[list[int]] = [[] for _ in self.states]
-        for src, dst in self.edges:
-            out[position[src]].append(position[dst])
+        try:
+            for src, dst in self.edges:
+                out[position[src]].append(position[dst])
+        except KeyError as exc:
+            raise ModelFormatError(f"unknown state {exc.args[0]!r} in edge") from None
+        if not all(out):
+            name = self.states[out.index([])]
+            raise ModelFormatError(f"state {name!r} has no outgoing edge")
         return tuple(map(tuple, out))
 
     def label_atoms(self) -> frozenset[str]:
@@ -196,6 +207,7 @@ def _product(
     emitted: Sequence[int],
     adjacency: Sequence[Sequence[int]],
     start: int,
+    targets: Optional[Callable[[int, int], list[int]]] = None,
 ):
     """The synchronous product of a letter-labelled graph with the automaton.
 
@@ -205,17 +217,24 @@ def _product(
     may grow during the search.  The automaton is read through
     `targets(q, l)`, the successor states of q with pattern letter l,
     asked once per (q, l), so a node is generated only when q's pattern
-    equals the letter of s: any other node can never move.  `roots` are
-    the automaton states paired with graph node `start`.  Returns
-    `(roots, out_edges, marks, all_marks)`, the arguments of
-    `accepting_cycle_reachable`, with one mark per acceptance set.
+    equals the letter of s: any other node can never move.  `targets`
+    defaults to the automaton's own; `check_model` passes one that also
+    drops the states q2 whose (q2, l) is dead, so the filter runs when
+    this cache is filled, not once per edge.  `roots` are the automaton
+    states paired with graph node `start`.  Returns `(roots, out_edges,
+    marks, all_marks)`, the arguments of `accepting_cycle_reachable`,
+    with one mark per acceptance set.
+
+    With the model's letter graph as the graph (node l carries letter l
+    and steps to the letters that follow l in the model), this is the
+    abstract product whose node q * nletters + l is the key of (q, l).
     """
     n = len(adjacency)
     nletters = automaton.nletters
-    targets = automaton.targets
+    targets = targets or automaton.targets
     state_marks = automaton.marks
     # `targets(q, l)` by q * nletters + l.
-    live: dict[int, list[int]] = {}
+    cached: dict[int, list[int]] = {}
 
     def out_edges(node: int) -> list[int]:
         q, s = divmod(node, n)
@@ -223,9 +242,9 @@ def _product(
         for s2 in adjacency[s]:
             letter = emitted[s2]
             key = q * nletters + letter
-            found = live.get(key)
+            found = cached.get(key)
             if found is None:
-                found = live[key] = targets(q, letter)
+                found = cached[key] = targets(q, letter)
             out += [q2 * n + s2 for q2 in found]
         return out
 
@@ -242,16 +261,19 @@ def _model_witness(
     emitted: Sequence[int],
     automaton: Union[PatternIndex, LazyFamily],
     initial: Sequence[int],
+    targets: Optional[Callable[[int, int], list[int]]] = None,
 ) -> Optional[Witness]:
     """The witness of `product_nonempty` for a model whose states carry
     letter ids `emitted`, from the automaton states `initial` paired
-    with the model's initial state."""
+    with the model's initial state, reading the automaton through
+    `targets` as `_product` does."""
     roots, out_edges, marks, all_marks = _product(
         automaton,
         initial,
         emitted,
         model.adjacency,
         model.position[model.initial],
+        targets,
     )
     if not accepting_cycle_reachable(roots, out_edges, marks, all_marks):
         return None
@@ -356,7 +378,25 @@ def check_model(
     so only states whose pattern is the letter of some model state are
     built; the verdict and witness are those `product_nonempty` gives
     on the automata of `build_family`.
+
+    Both searches skip dead pairs.  The model's letter graph has the
+    letter ids as nodes and an edge l -> l' when a model edge joins a
+    state of letter l to one of letter l'.  One value-free Couvreur
+    pass over its product with the family, from the FALSE and UNKNOWN
+    roots together, codes `LIVE` each (q, l) from which a cycle carrying
+    every mark is reachable.  Every path of the model maps to a path of
+    that product, so a pair (q, s) whose (q, letter of s) is not live has
+    no accepting run, and a value whose roots are all dead is decided
+    with no concrete search.  The witness stays the same: predecessors
+    of live nodes are live, so breadth-first order among live nodes is
+    unchanged, and the anchor, its stem and its loop are all live.
+    The model's index arrays (`TransitionModel.adjacency`) refuse an
+    undeclared edge endpoint and a state with no outgoing edge, and an
+    undeclared initial state is refused here, with `parse_model`'s
+    messages.
     """
+    if model.initial not in model.position:
+        raise ModelFormatError(f"unknown initial state {model.initial!r}")
     if alphabet is None:
         alphabet = tuple(sorted(atoms_of(psi) | model.label_atoms()))
     else:
@@ -366,9 +406,38 @@ def check_model(
         letter_of(model, s, closure.atoms) for s in model.states
     )
     family = LazyFamily(closure, list(ids))
+    nletters = family.nletters
+    # The letter graph; a model edge from letter l to letter l2 is step
+    # l * nletters + l2.
+    steps = {l * nletters + emitted[s2] for l, row in zip(emitted, model.adjacency) for s2 in row}
+    letter_graph: list[list[int]] = [[] for _ in range(nletters)]
+    for step in steps:
+        letter_graph[step // nletters].append(step % nletters)
     start = emitted[model.position[model.initial]]
-    for value in (Truth.FALSE, Truth.UNKNOWN):
-        witness = _model_witness(model, emitted, family, family.roots(value, start))
+    roots = {value: family.roots(value, start) for value in (Truth.FALSE, Truth.UNKNOWN)}
+    both = [q for initial in roots.values() for q in initial]
+    # The abstract pass walks `targets(q, l)` once per (q, l) it expands.
+    # A concrete search expands only live pairs, whose (q, l) the pass
+    # expanded, so each `targets(q, l)` it asks for is already walked.
+    walked: dict[int, list[int]] = {}
+
+    def walk(q: int, letter: int) -> list[int]:
+        found = walked[q * nletters + letter] = family.targets(q, letter)
+        return found
+
+    number: dict[int, int] = {}
+    abstract = _product(family, both, range(nletters), letter_graph, start, walk)
+    _couvreur(*abstract, number, stop=False)
+
+    def live_targets(q: int, letter: int) -> list[int]:
+        found = walked[q * nletters + letter]
+        return [q2 for q2 in found if number.get(q2 * nletters + letter) == LIVE]
+
+    for value, initial in roots.items():
+        live_roots = [q for q in initial if number.get(q * nletters + start) == LIVE]
+        witness = None
+        if live_roots:
+            witness = _model_witness(model, emitted, family, live_roots, live_targets)
         if witness is not None:
             word = induced_word(model, witness, alphabet)
             confirmed = eval_lasso(psi, word)

@@ -10,7 +10,8 @@ verification of linear temporal logic", FM'99; see also Renault et
 al., "Three SCC-based emptiness checks for generalized Büchi
 automata", LPAR 2013).  `first_accepting_lasso` extracts the one
 witness lasso that breadth-first search order singles out; a failed
-fresh candidate's region is numbered with the same pass.
+fresh candidate's region is numbered with the same pass, and so is the
+liveness table with which `check_model` prunes its product.
 """
 
 from __future__ import annotations
@@ -43,25 +44,48 @@ def accepting_cycle_reachable(
     return _couvreur(roots, out_edges, marks, all_marks, {})
 
 
+#: The `number` code of a completed node from which a cycle carrying
+#: every mark is reachable; filled in only by a pass with `stop=False`.
+LIVE = -2
+
+
 def _couvreur(
     roots: Iterable[Node],
     out_edges: Callable[[Node], Iterable[Node]],
     marks: Callable[[Node], int],
     all_marks: int,
     number: dict[Node, int],
+    stop: bool = True,
 ) -> bool:
     """Couvreur's pass.  `number` holds each node's DFS number while its
     component is open, then -1 if an edge closed a cycle in it (a
     self-loop included) and 0 if not; passes that returned False can
     share it, as complete nodes are neither expanded nor merged with.
+
+    With `stop=False` the pass does not stop at the first accepting
+    merge: it numbers everything reachable and codes `LIVE` every node
+    from which a cycle carrying every mark is reachable.  A component
+    completes only after every component it reaches, so it is live
+    exactly when its own union covers every mark on a cycle or one of
+    its edges leads into a live component: an edge into a `LIVE` node
+    sets the reaching bit in the top open component's union, and a
+    live component sets it in its parent's when it completes.  No
+    predecessor map or backward pass is needed.  Its answer is the
+    same: whether some root is live.
     """
-    live: list[Node] = []
-    root_numbers: list[int] = []
-    root_marks: list[int] = []
+    # The nodes of the open components, in DFS order.
+    active: list[Node] = []
+    # The bottom entry belongs to the virtual node of the roots: it
+    # gets the reaching bit when some root is live.
+    root_numbers: list[int] = [0]
+    root_marks: list[int] = [0]
     # Every merge sets bit `cycle`, above all acceptance marks, in its
-    # component's union: an edge closed a cycle in the component.
+    # component's union: an edge closed a cycle in the component.  Bit
+    # `reach` says an edge leads into a live component.
     cycle = 1 << all_marks.bit_length()
-    accepted = all_marks | cycle
+    reach = cycle << 1
+    fair = all_marks | cycle
+    accepted = fair if stop else -1
     count = 0
     # The roots are the edges of a virtual node at the bottom of `todo`.
     todo: list[tuple[Optional[Node], Iterator[Node]]] = [(None, iter(roots))]
@@ -72,7 +96,7 @@ def _couvreur(
             if seen is None:
                 count += 1
                 number[target] = count
-                live.append(target)
+                active.append(target)
                 root_numbers.append(count)
                 root_marks.append(marks(target))
                 todo.append((target, iter(out_edges(target))))
@@ -87,17 +111,24 @@ def _couvreur(
                 root_marks[-1] = union
                 if union == accepted:
                     return True
+            elif seen == LIVE:
+                root_marks[-1] |= reach
         else:
             todo.pop()
             if todo and root_numbers[-1] == number[node]:
                 root_numbers.pop()
-                done = -1 if root_marks.pop() & cycle else 0
+                union = root_marks.pop()
+                if union & reach or union & fair == fair:
+                    done = LIVE
+                    root_marks[-1] |= reach
+                else:
+                    done = -1 if union & cycle else 0
                 while True:
-                    member = live.pop()
+                    member = active.pop()
                     number[member] = done
                     if member == node:
                         break
-    return False
+    return root_marks[0] > 0
 
 
 def first_accepting_lasso(

@@ -316,6 +316,26 @@ class TestCheckModel:
         second = check_model(TWO_STATE, parse_core("G a"))
         assert first == second
 
+    # A model built by hand is refused as parse_model refuses its document.
+    @pytest.mark.parametrize(
+        "states, initial, edges",
+        [
+            pytest.param(["s0"], "s9", [["s0", "s0"]], id="undeclared-initial"),
+            pytest.param(["s0"], "s0", [["s0", "s0"], ["s0", "s7"]], id="undeclared-endpoint"),
+            pytest.param(["s0", "s1"], "s0", [["s0", "s1"]], id="no-outgoing-edge"),
+        ],
+    )
+    def test_hand_built_model_refused_with_parse_model_message(self, states, initial, edges):
+        codes = {"s0": "t", "s1": "f"}
+        with pytest.raises(ModelFormatError) as parsed:
+            parse_model(model_doc(states, initial, edges, {s: {"a": codes[s]} for s in states}))
+        values = {"s0": Truth.TRUE, "s1": Truth.FALSE}
+        labels = {s: {"a": values[s]} for s in states}
+        model = TransitionModel(tuple(states), initial, tuple(map(tuple, edges)), labels)
+        with pytest.raises(ModelFormatError) as checked:
+            check_model(model, parse_core("G a"))
+        assert str(checked.value) == str(parsed.value)
+
 
 #: The benchmark's input generator, run from its source so that nothing
 #: under bench/ is imported as a package or byte-compiled.
@@ -344,6 +364,59 @@ class TestCheckDigests:
         assert digests == CHECK_SHA1[seed]
 
 
+def eager_verdict(model, family):
+    """The verdict of FALSE-then-UNKNOWN `product_nonempty` on the
+    eager automata of `family`, `build_family`'s dict."""
+    for value in (Truth.FALSE, Truth.UNKNOWN):
+        witness = product_nonempty(model, family[value])
+        if witness is not None:
+            return Verdict(value, witness)
+    return Verdict(Truth.TRUE)
+
+
+#: `tools/checkwork.py`, run from its source, for its random-label inputs.
+CHECKWORK = runpy.run_path(str(Path(__file__).parents[1] / "tools" / "checkwork.py"))
+
+#: Seed -> one sha1 per `random_label_inputs(seed)` item, in order.
+CHECK_RANDOM_SHA1 = json.loads(
+    (Path(__file__).parent / "check_random_sha1.json").read_text(encoding="utf-8")
+)
+
+
+class TestRandomLabels:
+    @pytest.mark.parametrize("seed", sorted(CHECK_RANDOM_SHA1))
+    def test_pruned_check_matches_the_unpruned_eager_search(self, seed):
+        """On models whose labels fix no atom, `check_model`, which
+        skips the pairs that are dead in the product with the model's
+        letter graph, gives the verdict and witness of FALSE-then-UNKNOWN
+        `product_nonempty` on the eager `build_family` automata, which
+        prunes nothing.
+
+        Recipe of `check_random_sha1.json`: for each item of
+        `tools/checkwork.py`'s `random_label_inputs(bench_inputs(), seed)`
+        (the `check` templates and model shapes of `bench/inputs.py` over
+        `random_model` with no fixed atom, seeded with
+        `random.Random(f"rand-labels-{seed}")`), seeds 1-3, in order, the
+        sha1 hex of `repr((verdict.value.name, verdict.witness))` in UTF-8
+        for `check_model(parse_model(item["model"]),
+        parse_core(item["formula"]))`, as computed at commit `c532e52`,
+        before the pruning.
+        """
+        families = {}
+        digests = []
+        for item in CHECKWORK["random_label_inputs"](BENCH_INPUTS, int(seed)):
+            model = parse_model(item["model"])
+            psi = parse_core(item["formula"])
+            alphabet = tuple(sorted(atoms_of(psi) | model.label_atoms()))
+            if (psi, alphabet) not in families:
+                families[psi, alphabet] = build_family(psi, alphabet)
+            verdict = check_model(model, psi)
+            assert verdict == eager_verdict(model, families[psi, alphabet]), item["formula"]
+            text = repr((verdict.value.name, verdict.witness))
+            digests.append(hashlib.sha1(text.encode("utf-8")).hexdigest())
+        assert digests == CHECK_RANDOM_SHA1[seed]
+
+
 class TestLazyCheck:
     """check_model builds its automata lazily, yet gives the verdict and
     witness of product_nonempty on the eagerly built automata."""
@@ -353,14 +426,7 @@ class TestLazyCheck:
         psi = parse_core(text)
         for model in SMALL_MODELS:
             alphabet = tuple(sorted(atoms_of(psi) | model.label_atoms()))
-            family = build_family(psi, alphabet)
-            expected = Verdict(Truth.TRUE)
-            for value in (Truth.FALSE, Truth.UNKNOWN):
-                witness = product_nonempty(model, family[value])
-                if witness is not None:
-                    expected = Verdict(value, witness)
-                    break
-            assert check_model(model, psi) == expected
+            assert check_model(model, psi) == eager_verdict(model, build_family(psi, alphabet))
 
     def test_no_full_construction(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -4,7 +4,7 @@ import networkx as nx
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from triltl.search import accepting_cycle_reachable, first_accepting_lasso
+from triltl.search import LIVE, _couvreur, accepting_cycle_reachable, first_accepting_lasso
 
 
 def graph(edges):
@@ -249,3 +249,33 @@ class TestAgainstNetworkx:
             expected.append(v)
             v = back[v]
         assert loop == expected[::-1]
+
+    @settings(max_examples=600, deadline=None)
+    @given(marked_graphs())
+    def test_liveness_pass_agrees_with_networkx_sccs(self, case):
+        # The pass that does not stop codes LIVE exactly the reachable
+        # nodes that reach a cycle whose component carries every mark.
+        n, edges, roots, _, marks, all_marks = case
+        succ = {v: [] for v in range(n)}
+        for src, dst in edges:
+            succ[src].append(dst)
+        nxg = nx.DiGraph()
+        nxg.add_nodes_from(range(n))
+        nxg.add_edges_from(edges)
+        fair = set()
+        for component in nx.strongly_connected_components(nxg):
+            v = next(iter(component))
+            union = 0
+            for member in component:
+                union |= marks[member]
+            if (len(component) > 1 or nxg.has_edge(v, v)) and union == all_marks:
+                fair |= component
+        reachable = set(roots).union(*(nx.descendants(nxg, r) for r in roots))
+        live = {v for v in reachable if v in fair or fair & nx.descendants(nxg, v)}
+        event("some root live" if live & set(roots) else "no root live")
+        number = {}
+        out, mark = succ.__getitem__, marks.__getitem__
+        found = _couvreur(roots, out, mark, all_marks, number, stop=False)
+        assert set(number) == reachable
+        assert {v for v, code in number.items() if code == LIVE} == live
+        assert found == accepting_cycle_reachable(roots, out, mark, all_marks)
