@@ -40,7 +40,9 @@ class TransitionModel:
 
     `labels` may omit pairs; a missing (state, atom) entry reads as
     unknown.  Successor order follows edge declaration order, which
-    fixes the search order for witness extraction.
+    fixes the search order for witness extraction.  The cached indices
+    below refuse a malformed model built by hand: they raise
+    `ModelFormatError` with `parse_model`'s messages.
     """
 
     states: tuple[str, ...]
@@ -50,17 +52,24 @@ class TransitionModel:
 
     @cached_property
     def position(self) -> dict[str, int]:
-        """Index of each state in `states`."""
-        return {name: i for i, name in enumerate(self.states)}
+        """Index of each state in `states`; refuses a repeated name."""
+        position: dict[str, int] = {}
+        for i, name in enumerate(self.states):
+            if position.setdefault(name, i) != i:
+                raise ModelFormatError(f"duplicate state {name!r}")
+        return position
+
+    @cached_property
+    def start(self) -> int:
+        """Index of the initial state; refuses an undeclared one."""
+        if self.initial not in self.position:
+            raise ModelFormatError(f"unknown initial state {self.initial!r}")
+        return self.position[self.initial]
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Successor indices of each state index, built once per model.
-
-        Raises `ModelFormatError`, with `parse_model`'s messages, for an
-        edge endpoint that is not a declared state and for a state with
-        no outgoing edge, so a model built by hand is checked as well.
-        """
+        """Successor indices of each state index; refuses an undeclared
+        edge endpoint and a state with no outgoing edge."""
         position = self.position
         out: list[list[int]] = [[] for _ in self.states]
         try:
@@ -222,8 +231,8 @@ def _product(
     drops the states q2 whose (q2, l) is dead, so the filter runs when
     this cache is filled, not once per edge.  `roots` are the automaton
     states paired with graph node `start`.  Returns `(roots, out_edges,
-    marks, all_marks)`, the arguments of `accepting_cycle_reachable`,
-    with one mark per acceptance set.
+    marks, all_marks)`, with one mark per acceptance set, for the
+    searches of `search.py`.
 
     With the model's letter graph as the graph (node l carries letter l
     and steps to the letters that follow l in the model), this is the
@@ -266,28 +275,21 @@ def _model_witness(
     """The witness of `product_nonempty` for a model whose states carry
     letter ids `emitted`, from the automaton states `initial` paired
     with the model's initial state, reading the automaton through
-    `targets` as `_product` does."""
+    `targets` as `_product` does; None when the product is empty, which
+    the witness search decides on its own."""
     roots, out_edges, marks, all_marks = _product(
-        automaton,
-        initial,
-        emitted,
-        model.adjacency,
-        model.position[model.initial],
-        targets,
+        automaton, initial, emitted, model.adjacency, model.start, targets
     )
-    if not accepting_cycle_reachable(roots, out_edges, marks, all_marks):
-        return None
-
     # Counter product: node * k + c owes acceptance set c next.  Each
-    # pair is expanded once for all its counter values.
+    # node's edges are built once, as the search may expand it again.
     k = all_marks.bit_length()
-    pair_edges = cache(out_edges)
 
+    @cache
     def counter_out_edges(node: int) -> list[int]:
         pair, owed = divmod(node, k)
         if marks(pair) >> owed & 1:
             owed = (owed + 1) % k
-        return [target * k + owed for target in pair_edges(pair)]
+        return [target * k + owed for target in out_edges(pair)]
 
     found = first_accepting_lasso(
         [root * k for root in roots],
@@ -295,7 +297,7 @@ def _model_witness(
         lambda node: node % k == 0 and marks(node // k) & 1 == 1,
     )
     if found is None:
-        raise RuntimeError("internal error: non-empty product without a witness")
+        return None
     stem, loop = found
     names = model.states
     n = len(names)
@@ -313,19 +315,19 @@ def product_nonempty(
     Returns a (stem, loop) lasso of model states whose induced word the
     automaton accepts, or None when the product language is empty.
 
-    Emptiness is decided on the live-node product of `_product`, whose
-    nodes pair a model state with an automaton state.  Only when it is
-    non-empty is the witness taken, on the counter product (model state,
-    automaton state, owed set): node for node the product with
-    `degeneralize(automaton)`, in the same order, so both automata give
-    the same witness.  That witness is the first accepting cycle node in
-    breadth-first order over declaration order, reached by its
-    breadth-first stem and closed by its shortest loop.
+    One breadth-first witness search decides it, on the counter product
+    (model state, automaton state, owed set) over the pairs of
+    `_product`: node for node the product with `degeneralize(automaton)`,
+    in the same order, so both automata give the same witness.  That
+    witness is the first accepting cycle node in breadth-first order
+    over declaration order, reached by its breadth-first stem and closed
+    by its shortest loop; the search finds none exactly when the product
+    is empty.
     """
     atoms = automaton.closure.atoms
     index = automaton.pattern_index
     emitted = _pattern_ids(index, [letter_of(model, s, atoms) for s in model.states], atoms)
-    roots = index.roots(emitted[model.position[model.initial]])
+    roots = index.roots(emitted[model.start])
     return _model_witness(model, emitted, index, roots)
 
 
@@ -379,24 +381,22 @@ def check_model(
     built; the verdict and witness are those `product_nonempty` gives
     on the automata of `build_family`.
 
-    Both searches skip dead pairs.  The model's letter graph has the
-    letter ids as nodes and an edge l -> l' when a model edge joins a
-    state of letter l to one of letter l'.  One value-free Couvreur
-    pass over its product with the family, from the FALSE and UNKNOWN
-    roots together, codes `LIVE` each (q, l) from which a cycle carrying
-    every mark is reachable.  Every path of the model maps to a path of
-    that product, so a pair (q, s) whose (q, letter of s) is not live has
-    no accepting run, and a value whose roots are all dead is decided
-    with no concrete search.  The witness stays the same: predecessors
-    of live nodes are live, so breadth-first order among live nodes is
-    unchanged, and the anchor, its stem and its loop are all live.
-    The model's index arrays (`TransitionModel.adjacency`) refuse an
-    undeclared edge endpoint and a state with no outgoing edge, and an
-    undeclared initial state is refused here, with `parse_model`'s
-    messages.
+    Each value runs one concrete search, the witness search of
+    `product_nonempty`, which decides emptiness as well, and it skips
+    dead pairs.  The model's letter graph has the letter ids as nodes
+    and an edge l -> l' when a model edge joins a state of letter l to
+    one of letter l'.  One value-free Couvreur pass over its product
+    with the family, from the FALSE and UNKNOWN roots together, codes
+    `LIVE` each (q, l) from which a cycle carrying every mark is
+    reachable.  Every path of the model maps to a path of that product,
+    so a pair (q, s) whose (q, letter of s) is not live has no accepting
+    run, and a value whose roots are all dead expands nothing.  The
+    witness stays the same: predecessors of live nodes are live, so
+    breadth-first order among live nodes is unchanged, and the anchor,
+    its stem and its loop are all live.  The model's index arrays
+    (`TransitionModel.position`, `start` and `adjacency`) refuse a
+    malformed hand-built model with `parse_model`'s messages.
     """
-    if model.initial not in model.position:
-        raise ModelFormatError(f"unknown initial state {model.initial!r}")
     if alphabet is None:
         alphabet = tuple(sorted(atoms_of(psi) | model.label_atoms()))
     else:
@@ -413,7 +413,7 @@ def check_model(
     letter_graph: list[list[int]] = [[] for _ in range(nletters)]
     for step in steps:
         letter_graph[step // nletters].append(step % nletters)
-    start = emitted[model.position[model.initial]]
+    start = emitted[model.start]
     roots = {value: family.roots(value, start) for value in (Truth.FALSE, Truth.UNKNOWN)}
     both = [q for initial in roots.values() for q in initial]
     # The abstract pass walks `targets(q, l)` once per (q, l) it expands.
@@ -435,9 +435,7 @@ def check_model(
 
     for value, initial in roots.items():
         live_roots = [q for q in initial if number.get(q * nletters + start) == LIVE]
-        witness = None
-        if live_roots:
-            witness = _model_witness(model, emitted, family, live_roots, live_targets)
+        witness = _model_witness(model, emitted, family, live_roots, live_targets)
         if witness is not None:
             word = induced_word(model, witness, alphabet)
             confirmed = eval_lasso(psi, word)

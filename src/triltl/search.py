@@ -8,10 +8,12 @@ from the roots.  Nodes may be any hashable values.
 for generalized Büchi acceptance (J.-M. Couvreur, "On-the-fly
 verification of linear temporal logic", FM'99; see also Renault et
 al., "Three SCC-based emptiness checks for generalized Büchi
-automata", LPAR 2013).  `first_accepting_lasso` extracts the one
-witness lasso that breadth-first search order singles out; a failed
-fresh candidate's region is numbered with the same pass, and so is the
-liveness table with which `check_model` prunes its product.
+automata", LPAR 2013); `nba_accepts_lasso` decides with it.
+`first_accepting_lasso` finds the one witness lasso that breadth-first
+search order singles out, or none, and so decides emptiness for
+`check_model` on its own.  `check_model`'s liveness pass, which prunes
+that search, is the same Couvreur pass, and so is the numbering of a
+failed fresh candidate's region.
 """
 
 from __future__ import annotations

@@ -27,6 +27,6 @@ def test_two_runs_print_identical_counts_and_digests():
     assert [line["set"] for line in first] == ["committed", "random-labels"]
     assert all(line["inputs"] == 48 for line in first)
     for line in first:
-        assert set(line["out_edges"]) == {"liveness", "emptiness", "witness"}
+        assert set(line["out_edges"]) == {"liveness", "witness"}
         assert all(count > 0 for count in line["out_edges"].values())
     assert run_seed_1() == first

@@ -323,6 +323,7 @@ class TestCheckModel:
             pytest.param(["s0"], "s9", [["s0", "s0"]], id="undeclared-initial"),
             pytest.param(["s0"], "s0", [["s0", "s0"], ["s0", "s7"]], id="undeclared-endpoint"),
             pytest.param(["s0", "s1"], "s0", [["s0", "s1"]], id="no-outgoing-edge"),
+            pytest.param(["s0", "s1", "s0"], "s0", [["s0", "s1"], ["s1", "s0"]], id="duplicate-state"),
         ],
     )
     def test_hand_built_model_refused_with_parse_model_message(self, states, initial, edges):
@@ -331,10 +332,45 @@ class TestCheckModel:
             parse_model(model_doc(states, initial, edges, {s: {"a": codes[s]} for s in states}))
         values = {"s0": Truth.TRUE, "s1": Truth.FALSE}
         labels = {s: {"a": values[s]} for s in states}
-        model = TransitionModel(tuple(states), initial, tuple(map(tuple, edges)), labels)
-        with pytest.raises(ModelFormatError) as checked:
-            check_model(model, parse_core("G a"))
-        assert str(checked.value) == str(parsed.value)
+        psi = parse_core("G a")
+        for entry_point in (
+            lambda model: check_model(model, psi),
+            lambda model: product_nonempty(model, build_automaton(psi, ("a",), Truth.FALSE)),
+        ):
+            model = TransitionModel(tuple(states), initial, tuple(map(tuple, edges)), labels)
+            with pytest.raises(ModelFormatError) as checked:
+                entry_point(model)
+            assert str(checked.value) == str(parsed.value)
+
+    def test_true_verdict_with_live_but_empty_searches(self, monkeypatch):
+        """`X G a` holds on the reachable part, s0 (a=f) then s1 (a=t)
+        forever.  The unreachable s2 (a=t), which steps to s3 (a=f) and
+        to s4 (a unknown), puts a falsifying and an unknown path into the
+        model's letter graph, so both values' roots are live there and
+        each value runs its witness search, which alone finds the
+        concrete product empty."""
+        model = parse_model(
+            model_doc(
+                ["s0", "s1", "s2", "s3", "s4"],
+                "s0",
+                [["s0", "s1"], ["s1", "s1"], ["s2", "s3"], ["s3", "s3"], ["s2", "s4"], ["s4", "s4"]],
+                {"s0": {"a": "f"}, "s1": {"a": "t"}, "s2": {"a": "t"}, "s3": {"a": "f"}},
+            )
+        )
+        psi = parse_core("X G a")
+        found = []
+        search = modelcheck.first_accepting_lasso
+
+        def counted(*args):
+            found.append(search(*args))
+            return found[-1]
+
+        monkeypatch.setattr(modelcheck, "first_accepting_lasso", counted)
+        verdict = check_model(model, psi)
+        monkeypatch.undo()
+        assert verdict == Verdict(Truth.TRUE)
+        assert found == [None, None]
+        assert verdict == eager_verdict(model, build_family(psi, ("a",)))
 
 
 #: The benchmark's input generator, run from its source so that nothing

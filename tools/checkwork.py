@@ -19,12 +19,12 @@ the clock starts), `sha1`, the sha1 hex of the `repr` of the list of all
 `(verdict name, witness)` pairs in order, and `out_edges`, the calls of
 the `out_edges` callables handed to the search entry points that
 `modelcheck` calls, split by role: `liveness` (the value-free
-`_couvreur` pass), `emptiness` (`accepting_cycle_reachable`) and
-`witness` (`first_accepting_lasso`).  The counts come from one more pass
-with those entry points wrapped in this process; for fixed seeds they
-are exact.  An entry point that `modelcheck` lacks counts 0.  The tool
-reads the library from the `src` directory beside it and uses only the
-standard library.
+`_couvreur` pass) and `witness` (`first_accepting_lasso`, which also
+decides emptiness).  The counts come from one more pass with those
+entry points wrapped in this process; for fixed seeds they are exact.
+An entry point that `modelcheck` lacks counts 0.  The tool reads the
+library from the `src` directory beside it and uses only the standard
+library.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ ROOT = Path(__file__).resolve().parent.parent
 #: Role -> the `modelcheck` name of the search entry point it counts.
 ROLES = {
     "liveness": "_couvreur",
-    "emptiness": "accepting_cycle_reachable",
     "witness": "first_accepting_lasso",
 }
 
