@@ -41,8 +41,8 @@ class TransitionModel:
     `labels` may omit pairs; a missing (state, atom) entry reads as
     unknown.  Successor order follows edge declaration order, which
     fixes the search order for witness extraction.  The cached indices
-    below refuse a malformed model built by hand: they raise
-    `ModelFormatError` with `parse_model`'s messages.
+    below alone decide that a model, parsed or built by hand, is well
+    formed: each raises `ModelFormatError` on its first fault.
     """
 
     states: tuple[str, ...]
@@ -52,9 +52,13 @@ class TransitionModel:
 
     @cached_property
     def position(self) -> dict[str, int]:
-        """Index of each state in `states`; refuses a repeated name."""
+        """Index of each state in `states`; refuses, in declaration
+        order, a bad name (not a string, empty, or holding a
+        `_BAD_STATE_CHAR`) and a repeated one."""
         position: dict[str, int] = {}
         for i, name in enumerate(self.states):
+            if not isinstance(name, str) or not name or _BAD_STATE_CHAR.search(name):
+                raise ModelFormatError(f"bad state name {name!r}")
             if position.setdefault(name, i) != i:
                 raise ModelFormatError(f"duplicate state {name!r}")
         return position
@@ -62,7 +66,7 @@ class TransitionModel:
     @cached_property
     def start(self) -> int:
         """Index of the initial state; refuses an undeclared one."""
-        if self.initial not in self.position:
+        if not isinstance(self.initial, str) or self.initial not in self.position:
             raise ModelFormatError(f"unknown initial state {self.initial!r}")
         return self.position[self.initial]
 
@@ -75,8 +79,10 @@ class TransitionModel:
         try:
             for src, dst in self.edges:
                 out[position[src]].append(position[dst])
-        except KeyError as exc:
-            raise ModelFormatError(f"unknown state {exc.args[0]!r} in edge") from None
+        except (KeyError, TypeError):  # TypeError: an unhashable endpoint
+            bad = next(end for edge in self.edges for end in edge
+                       if not isinstance(end, str) or end not in position)
+            raise ModelFormatError(f"unknown state {bad!r} in edge") from None
         if not all(out):
             name = self.states[out.index([])]
             raise ModelFormatError(f"state {name!r} has no outgoing edge")
@@ -106,11 +112,15 @@ def letter_of(model: TransitionModel, state: str, alphabet: Sequence[str]) -> Le
 def parse_model(document: str) -> TransitionModel:
     """Parse the JSON model format.
 
-    Top-level fields: "states" (list of names), "initial" (name),
-    "edges" (list of [from, to] pairs), "labels" (state -> atom ->
-    "t" | "f" | "u").  Unknown fields are rejected, the transition
-    relation must be serial, and every referenced state must be
-    declared.
+    Top-level fields: "states" (non-empty list of names), "initial"
+    (name), "edges" (list of [from, to] pairs), "labels" (state -> atom
+    -> "t" | "f" | "u").  Only the shape is checked here, and repeated
+    edges dropped; the model's indices (`TransitionModel.position`,
+    `start`, `adjacency`) check the rest, so a document is refused as
+    the model built by hand from it.  Of several faults the first is
+    reported in this order: shape faults in document order; then names,
+    the initial state, edge endpoints and seriality, as the indices
+    find them; then labels of undeclared states.
     """
     try:
         data = json.loads(document)
@@ -127,42 +137,19 @@ def parse_model(document: str) -> TransitionModel:
         if field not in data:
             raise ModelFormatError(f"missing field {field!r}")
 
-    raw_states = data["states"]
-    if not isinstance(raw_states, list) or not raw_states:
+    states = data["states"]
+    if not isinstance(states, list) or not states:
         raise ModelFormatError('"states" must be a non-empty list of names')
-    states: list[str] = []
-    known: set[str] = set()
-    for name in raw_states:
-        if not isinstance(name, str) or not name or _BAD_STATE_CHAR.search(name):
-            raise ModelFormatError(f"bad state name {name!r}")
-        if name in known:
-            raise ModelFormatError(f"duplicate state {name!r}")
-        known.add(name)
-        states.append(name)
-
-    initial = data["initial"]
-    if not isinstance(initial, str) or initial not in known:
-        raise ModelFormatError(f"unknown initial state {initial!r}")
-
-    if not isinstance(data["edges"], list):
+    raw_edges = data["edges"]
+    if not isinstance(raw_edges, list):
         raise ModelFormatError('"edges" must be a list of [from, to] pairs')
-    edges: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    for item in data["edges"]:
+    for item in raw_edges:
         if not isinstance(item, list) or len(item) != 2:
             raise ModelFormatError(f"bad edge {item!r}")
-        src, dst = item
-        for endpoint in (src, dst):
-            if not isinstance(endpoint, str) or endpoint not in known:
-                raise ModelFormatError(f"unknown state {endpoint!r} in edge")
-        if (src, dst) not in seen:
-            seen.add((src, dst))
-            edges.append((src, dst))
-
-    with_out = {src for src, _ in edges}
-    for name in states:
-        if name not in with_out:
-            raise ModelFormatError(f"state {name!r} has no outgoing edge")
+    try:
+        edges = tuple(dict.fromkeys(map(tuple, raw_edges)))
+    except TypeError:  # an unhashable endpoint, which `adjacency` refuses
+        edges = tuple(map(tuple, raw_edges))
 
     labels: dict[str, dict[str, Truth]] = {}
     atom_names: set[str] = set()
@@ -170,8 +157,6 @@ def parse_model(document: str) -> TransitionModel:
     if not isinstance(raw_labels, dict):
         raise ModelFormatError('"labels" must be an object')
     for name, per_state in raw_labels.items():
-        if name not in known:
-            raise ModelFormatError(f"labels for unknown state {name!r}")
         if not isinstance(per_state, dict):
             raise ModelFormatError(f"labels of {name!r} must be an object")
         entry: dict[str, Truth] = {}
@@ -187,7 +172,12 @@ def parse_model(document: str) -> TransitionModel:
             entry[atom] = _VALUE_CODES[code]
         labels[name] = entry
 
-    return TransitionModel(tuple(states), initial, tuple(edges), labels)
+    model = TransitionModel(tuple(states), data["initial"], edges, labels)
+    model.start, model.adjacency  # refuse the model's own faults first
+    for name in labels:
+        if name not in model.position:
+            raise ModelFormatError(f"labels for unknown state {name!r}")
+    return model
 
 
 Witness = tuple[tuple[str, ...], tuple[str, ...]]
@@ -324,6 +314,7 @@ def product_nonempty(
     by its shortest loop; the search finds none exactly when the product
     is empty.
     """
+    model.start, model.adjacency  # refuse a malformed model first
     atoms = automaton.closure.atoms
     index = automaton.pattern_index
     emitted = _pattern_ids(index, [letter_of(model, s, atoms) for s in model.states], atoms)
@@ -393,10 +384,12 @@ def check_model(
     run, and a value whose roots are all dead expands nothing.  The
     witness stays the same: predecessors of live nodes are live, so
     breadth-first order among live nodes is unchanged, and the anchor,
-    its stem and its loop are all live.  The model's index arrays
+    its stem and its loop are all live.  The model's indices
     (`TransitionModel.position`, `start` and `adjacency`) refuse a
-    malformed hand-built model with `parse_model`'s messages.
+    malformed model before any other work, as `parse_model` refuses
+    its document.
     """
+    model.start, model.adjacency  # refuse a malformed model first
     if alphabet is None:
         alphabet = tuple(sorted(atoms_of(psi) | model.label_atoms()))
     else:

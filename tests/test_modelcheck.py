@@ -156,6 +156,43 @@ class TestParseModel:
         else:
             assert parse_model(document).states == (name,)
 
+    # Shape faults first, in document order; then the model's faults as
+    # its indices find them; then labels of undeclared states.
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            pytest.param(
+                '{"states": ["s0"], "initial": "s0", "edges": [["s0", "s9"], "s0"]}',
+                "bad edge 's0'",
+                id="edge-shape-before-endpoint",
+            ),
+            pytest.param(
+                model_doc(["s0", "s0"], "s0", [["s0", "s0"]], {"s0": {"a": "yes"}}),
+                "bad value 'yes' for 's0'.'a'; use \"t\", \"f\" or \"u\"",
+                id="label-shape-before-names",
+            ),
+            pytest.param(
+                model_doc(["s0", "s0"], "s9", [["s0", "s0"]], {}),
+                "duplicate state 's0'",
+                id="names-before-initial",
+            ),
+            pytest.param(
+                model_doc(["s0", "s1"], "s0", [["s1", "s1"], ["s1", "s9"]], {}),
+                "unknown state 's9' in edge",
+                id="endpoints-before-seriality",
+            ),
+            pytest.param(
+                model_doc(["s0", "s1"], "s0", [["s0", "s0"]], {"s9": {"a": "t"}}),
+                "state 's1' has no outgoing edge",
+                id="seriality-before-label-states",
+            ),
+        ],
+    )
+    def test_fault_order(self, document, message):
+        with pytest.raises(ModelFormatError) as refused:
+            parse_model(document)
+        assert str(refused.value) == message
+
     def test_duplicate_edges_keep_first_declaration_order(self):
         m = parse_model(
             model_doc(
@@ -324,14 +361,23 @@ class TestCheckModel:
             pytest.param(["s0"], "s0", [["s0", "s0"], ["s0", "s7"]], id="undeclared-endpoint"),
             pytest.param(["s0", "s1"], "s0", [["s0", "s1"]], id="no-outgoing-edge"),
             pytest.param(["s0", "s1", "s0"], "s0", [["s0", "s1"], ["s1", "s0"]], id="duplicate-state"),
+            pytest.param(["s0", "s 1"], "s0", [["s0", "s 1"], ["s 1", "s 1"]], id="bad-name-space"),
+            pytest.param(["s0", "x;y"], "s0", [["s0", "x;y"], ["x;y", "x;y"]], id="bad-name-semicolon"),
+            pytest.param(["s0", ""], "s0", [["s0", ""], ["", ""]], id="bad-name-empty"),
+            pytest.param(["s0", 0], "s0", [["s0", 0], [0, 0]], id="bad-name-non-string"),
+            pytest.param(["s0", ["s1"]], "s0", [["s0", "s0"]], id="bad-name-list"),
+            pytest.param(["s0"], ["s0"], [["s0", "s0"]], id="list-initial"),
+            pytest.param(["s0"], "s0", [["s0", "s0"], ["s0", ["s0"]]], id="list-endpoint"),
+            pytest.param(["s0"], "s9", [["s0", "s0"], ["s0", "s7"]], id="initial-before-endpoint"),
         ],
     )
     def test_hand_built_model_refused_with_parse_model_message(self, states, initial, edges):
-        codes = {"s0": "t", "s1": "f"}
+        # s0 is labelled a = t, every other state with a string name a = f.
+        codes = {s: "t" if s == "s0" else "f" for s in states if isinstance(s, str)}
         with pytest.raises(ModelFormatError) as parsed:
-            parse_model(model_doc(states, initial, edges, {s: {"a": codes[s]} for s in states}))
-        values = {"s0": Truth.TRUE, "s1": Truth.FALSE}
-        labels = {s: {"a": values[s]} for s in states}
+            parse_model(model_doc(states, initial, edges, {s: {"a": c} for s, c in codes.items()}))
+        values = {"t": Truth.TRUE, "f": Truth.FALSE}
+        labels = {s: {"a": values[c]} for s, c in codes.items()}
         psi = parse_core("G a")
         for entry_point in (
             lambda model: check_model(model, psi),
